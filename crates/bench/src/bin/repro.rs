@@ -20,10 +20,10 @@
 //!             [--threads N] [--durable] [--crashes K] [--crash-seed N]
 //!             [--codec raw|deflate|lz4|mixed]
 //!                     trace-driven lifecycle replay + differential oracle
-//!                     (exits 1 on any oracle violation). With --threads
-//!                     the concurrent driver replays store replicas and
-//!                     per-image retrieval groups on the worker pool; the
-//!                     report is byte-identical for every thread count.
+//!                     (exits 1 on any oracle violation). The five store
+//!                     replicas each replay the whole trace, in parallel
+//!                     on the worker pool; --threads pins the pool size,
+//!                     and the report is byte-identical for every value.
 //!                     With --durable, Expelliarmus and Mirage write
 //!                     through to log-structured on-disk backends
 //!                     (xpl-persist) and the trace gains K (default 3)
@@ -60,13 +60,6 @@
 //!                     wire responses must be byte-identical to the
 //!                     in-process table at any fault rate; exits 1
 //!                     otherwise.
-//! repro profile [--images N] [--seed N] [--json F]
-//!                     span-tree profile of the dedup publish pipeline:
-//!                     each image's publish is traced through its
-//!                     chunk / dedup / compress / append phases and the
-//!                     aggregated tree is printed with per-phase totals.
-//!                     Exits 1 if the span accounting does not nest
-//!                     (sum of phases <= publish <= run wall).
 //! repro audit [--world small]
 //!                     publish the world into all five stores, delete a
 //!                     third of the images, then run every store's deep
@@ -264,18 +257,11 @@ fn run_churn_cmd(args: &[String]) -> ! {
     }
     let metrics = parse_metrics(args);
     let registry = metrics.as_ref().and_then(Metrics::registry);
-    let threads = parse_threads(args);
-    let report = match threads {
-        Some(n) => {
-            eprintln!(
-                "[repro] churn replay: seed={seed:#x} ops={ops} threads={n} durable={durable}"
-            );
-            churn::run_churn_threads_with(&cfg, n, registry)
-        }
-        None => {
-            eprintln!("[repro] churn replay: seed={seed:#x} ops={ops} durable={durable}");
-            churn::run_churn_with(&cfg, registry)
-        }
+    eprintln!("[repro] churn replay: seed={seed:#x} ops={ops} durable={durable}");
+    let run = || churn::run_churn(&cfg, registry);
+    let report = match parse_threads(args) {
+        Some(n) => rayon::with_num_threads(n, run),
+        None => run(),
     };
     println!("CHURN: {} ops replayed against 5 stores", report.ops);
     println!(
@@ -569,38 +555,6 @@ fn run_bench_cmd(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// `repro profile` — the span-tree profile of the publish pipeline
-/// (see `xpl_bench::profile`). Exits 1 if the span accounting
-/// invariant (`sum(phases) <= publish <= wall`) fails.
-fn run_profile_cmd(args: &[String]) -> ! {
-    use xpl_bench::{render_profile, run_profile, ProfileConfig};
-    let mut cfg = ProfileConfig::default();
-    if let Some(n) = parse_nonzero_flag(args, "--images") {
-        cfg.images = n as usize;
-    }
-    if let Some(s) = parse_u64_flag(args, "--seed") {
-        cfg.seed = s;
-    }
-    eprintln!(
-        "[repro] profiling the publish pipeline: images={} seed={:#x}",
-        cfg.images, cfg.seed
-    );
-    let report = run_profile(&cfg);
-    print!("{}", render_profile(&report));
-    if let Some(path) = flag_value(args, "--json") {
-        let json = serde_json::to_string_pretty(&report).expect("serialize profile report");
-        std::fs::File::create(&path)
-            .and_then(|mut f| f.write_all(json.as_bytes()))
-            .expect("write profile JSON");
-        eprintln!("[repro] wrote {path}");
-    }
-    if !report.spans_nest {
-        eprintln!("PROFILE: span accounting violated (sum(phases) <= publish <= wall failed)");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
 /// `repro ablate-codec` — the storage-codec trade-off table. Needs no
 /// world: the sweep runs over one seeded synthetic payload.
 fn run_ablate_codec_cmd(args: &[String]) -> ! {
@@ -656,10 +610,6 @@ fn main() {
         // The serving benchmark generates its own scaled world.
         run_serve_cmd(&args);
     }
-    if cmd == "profile" {
-        // The profile generates its own scaled world.
-        run_profile_cmd(&args);
-    }
     if cmd == "audit" {
         // The audit builds its own world (honoring --world small).
         run_audit_cmd(&args);
@@ -679,7 +629,7 @@ fn main() {
     if !KNOWN.contains(&cmd) {
         eprintln!("unknown experiment: {cmd}");
         eprintln!(
-            "usage: repro [table2|fig3a|fig3b|fig3c|fig4a|fig4b|fig5a|fig5b|ablations|ablate-codec|churn|serve|profile|bench|audit|all]"
+            "usage: repro [table2|fig3a|fig3b|fig3c|fig4a|fig4b|fig5a|fig5b|ablations|ablate-codec|churn|serve|bench|audit|all]"
         );
         std::process::exit(2);
     }

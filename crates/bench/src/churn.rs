@@ -2,8 +2,8 @@
 //!
 //! [`run_churn`] generates a deterministic lifecycle trace over a
 //! [`ScaledWorld`] and replays it against all five evaluated stores
-//! (Qcow2, Qcow2+Gzip, Mirage, Hemera, Expelliarmus) in lockstep. After
-//! **every** operation the oracle checks:
+//! (Qcow2, Qcow2+Gzip, Mirage, Hemera, Expelliarmus), each replaying the
+//! whole trace. After **every** operation the oracle checks:
 //!
 //! 1. **Differential retrieval** — the semantic fingerprint (files sans
 //!    junk/status + installed package set) of every retrieved image is
@@ -28,29 +28,32 @@
 //! divergence; callers (the `repro churn` subcommand, CI, the
 //! integration suite) assert the list is empty.
 //!
-//! # Concurrent replay ([`run_churn_threads`])
+//! # One driver, two passes
 //!
-//! The `--threads` mode replays the same trace with the worker pool.
-//! The trace is split into maximal runs of *mutations*
-//! (publish/upgrade/delete/maintain) and *retrievals* (retrieve/burst):
+//! * **Plan.** On the coordinator, in trace order, every published
+//!   image is built and fingerprinted once, and every retrieve, burst,
+//!   range and delete is resolved to the image live at that point of the
+//!   trace. Retrievals of an already-deleted image are recorded as
+//!   violations here, once per retrieval.
+//! * **Replay.** Each of the five store replicas replays the whole plan
+//!   in trace order with the full per-op oracle — including the strict
+//!   range byte-accounting check — and a `check_integrity` audit after
+//!   every op, then closes with a deep audit (every CAS blob re-hashed).
+//!   The replicas run in parallel on the ambient rayon pool.
 //!
-//! * mutation runs execute in trace order **per store**, with the five
-//!   store replicas advancing in parallel — each replica owns its
-//!   simulated environment, so its per-op reports and ledger checks are
-//!   bit-identical to a sequential replay;
-//! * retrieval runs are partitioned by image-name **conflict group**:
-//!   each (replica × image) group replays its retrievals in trace order
-//!   on the pool, while distinct images — now genuinely concurrent
-//!   through the stores' shared-access (`&self`) interfaces — proceed in
-//!   parallel. Retrievals are read-only, so the differential
-//!   fingerprints are exact and thread-count independent.
+//! Each replica owns its simulated environment, so its per-op reports,
+//! ledgers and byte accounting are exactly those of a lone sequential
+//! replay, whatever the pool size. Violations are concatenated in replica
+//! order, so the [`ChurnReport`] is **byte-identical for any thread
+//! count** — pinned by tests at 1, 2 and 8 threads. To pin the pool,
+//! wrap the call in `rayon::with_num_threads`.
 //!
-//! The run boundaries are the oracle's **quiesce points**: refcount
-//! audits run after every mutation (still serial per store) and once per
-//! store at the end of each retrieval run; a full deep audit (every CAS
-//! blob re-hashed) closes the replay. The resulting [`ChurnReport`] is
-//! **byte-identical for any thread count** — pinned by a test at 1, 2
-//! and 8 threads.
+//! A new [`TraceOp`] needs one arm in the plan pass (resolve its payload
+//! into an `Action`) and one in the replay pass (apply it to a replica).
+//!
+//! Concurrent retrievals of distinct images from one store through its
+//! shared-access (`&self`) interface are covered by the store
+//! equivalence suite, not by this replay.
 //!
 //! # Durable replay with crash-recovery churn
 //!
@@ -63,11 +66,11 @@
 //! (magic, digest, CRC-32), and requires the recovered state to
 //! **converge** to the uncrashed in-memory CAS — fingerprint equality
 //! over blobs, refcounts and the size ledger. A final power-cut +
-//! recovery closes every durable replay. All durable work happens in
-//! the replica-serial mutation stream, so reports stay byte-identical
-//! at any thread count, and the end-of-replay
-//! [`ChurnReport::cas_fingerprints`] are identical between durable and
-//! purely in-memory replays of the same trace (what CI diffs).
+//! recovery closes every durable replay. Each replica owns its medium,
+//! so reports stay byte-identical at any thread count, and the
+//! end-of-replay [`ChurnReport::cas_fingerprints`] are identical
+//! between durable and purely in-memory replays of the same trace (what
+//! CI diffs).
 //!
 //! # Codec tiers
 //!
@@ -456,16 +459,6 @@ fn apply_recover(r: &mut Replica, ctx: &str, violations: &mut Vec<String>, check
     att.recoveries += 1;
 }
 
-/// The closing durability check of a replay: power-cut every durable
-/// replica one last time (torn tails included) and require recovery to
-/// converge to the final in-memory state.
-fn final_recover_all(replicas: &mut [Replica], violations: &mut Vec<String>, checks: &mut u64) {
-    for r in replicas.iter_mut() {
-        apply_crash(r);
-        apply_recover(r, "final", violations, checks);
-    }
-}
-
 /// End-of-replay fingerprints of every store's CAS sections.
 fn collect_fingerprints(replicas: &[Replica]) -> Vec<CasFingerprint> {
     let mut out = Vec::new();
@@ -506,7 +499,7 @@ fn collect_durable_summaries(replicas: &[Replica]) -> Option<Vec<DurableStoreSum
 }
 
 /// Apply one publish/upgrade to one replica with the full per-op oracle
-/// (cost, ledger). Shared by the sequential and concurrent drivers.
+/// (cost, ledger).
 fn apply_publish(
     r: &mut Replica,
     world: &ScaledWorld,
@@ -680,12 +673,10 @@ fn check_retrieve(
 
 /// Retrieve a byte range from one replica and run the differential
 /// oracle: the ranged bytes must equal the same store's full-retrieval
-/// disk slice, and — with `strict_bytes` — the repository must not move
-/// more bytes for the range than it would for the whole image. The
-/// byte-accounting comparison is only valid when this store's
-/// retrievals are serialized (per-op reports read shared device
-/// counters; under the concurrent driver a neighbour's charges leak
-/// into the delta), so the concurrent replay passes `false`.
+/// disk slice, and the repository must not move more bytes for the
+/// range than it would for the whole image. Per-op reports read the
+/// replica's own device counters, so the byte comparison is exact: no
+/// other op runs against this replica meanwhile.
 #[allow(clippy::too_many_arguments)]
 fn check_retrieve_range(
     r: &Replica,
@@ -695,7 +686,6 @@ fn check_retrieve_range(
     start_frac: u32,
     len: u32,
     step: usize,
-    strict_bytes: bool,
     violations: &mut Vec<String>,
     checks: &mut u64,
 ) {
@@ -736,7 +726,7 @@ fn check_retrieve_range(
                     r.store.name()
                 ));
             }
-            if strict_bytes && report.bytes_read > full.bytes_read {
+            if report.bytes_read > full.bytes_read {
                 violations.push(format!(
                     "step {step} {}: range ({start}, {len}) of {image} read {} repo \
                      bytes, more than the full retrieval's {}",
@@ -759,331 +749,74 @@ fn check_retrieve_range(
     }
 }
 
-/// Replay `cfg` sequentially and return the oracle's report (the
-/// original per-op-integrity driver; `repro churn` without `--threads`).
-pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
-    run_churn_with(cfg, None)
+/// An image as published by the trace: the built VM image every replica
+/// publishes, and what the oracle expects back from any retrieval of it.
+struct Published {
+    name: String,
+    vmi: xpl_guestfs::Vmi,
+    expect: LiveImage,
 }
 
-/// [`run_churn`] with an optional metrics registry attached to every
-/// replica before the replay. Attachment must never change the report:
-/// the `det` section of the resulting snapshot is derived purely from
-/// the executed op multiset, so it is byte-identical at any thread
-/// count, and the report itself is byte-identical with or without the
-/// registry (CI pins both properties).
-pub fn run_churn_with(cfg: &ChurnConfig, registry: Option<&Arc<xpl_obs::Registry>>) -> ChurnReport {
-    let (world, trace) = churn_trace(cfg);
-    let mut replicas = fresh_replicas(cfg.durable.is_some(), cfg.tier);
-    if let Some(reg) = registry {
-        for r in &replicas {
-            r.store.attach_obs(reg);
-        }
-    }
-    let mut live: FxHashMap<String, LiveImage> = FxHashMap::default();
-    let mut violations: Vec<String> = Vec::new();
-    let mut checks = 0u64;
-    let (mut publishes, mut retrieves, mut upgrades, mut deletes, mut bursts) = (0, 0, 0, 0, 0);
-    let mut burst_retrieves = 0usize;
-    let mut range_retrieves = 0usize;
-    let mut maintains = 0usize;
+/// One trace op resolved on the coordinator. Image payloads index the
+/// plan's [`Published`] list.
+enum Action {
+    Publish(usize),
+    /// A retrieval, or a burst of `times` back-to-back retrievals.
+    Retrieve {
+        image: usize,
+        times: u32,
+    },
+    Range {
+        image: usize,
+        start_frac: u32,
+        len: u32,
+    },
+    Delete(usize),
+    Maintain,
+    Crash,
+    Recover,
+    /// A retrieval of an image the trace had already deleted: recorded
+    /// as a violation at plan time, no store op.
+    Dead,
+}
 
+struct PlannedOp<'t> {
+    step: usize,
+    op: &'t TraceOp,
+    action: Action,
+}
+
+/// The plan pass's output: every op resolved, every published image,
+/// the trace-mix counters, and the number of images live at the end.
+#[derive(Default)]
+struct Plan<'t> {
+    ops: Vec<PlannedOp<'t>>,
+    published: Vec<Published>,
+    live_images: usize,
+    publishes: usize,
+    retrieves: usize,
+    range_retrieves: usize,
+    upgrades: usize,
+    deletes: usize,
+    bursts: usize,
+    burst_retrieves: usize,
+    maintains: usize,
+    violations: Vec<String>,
+}
+
+/// The plan pass: walk the trace in order, build and fingerprint every
+/// published image once, and resolve each retrieval or delete against
+/// the image that is live at that point of the trace.
+fn plan_trace<'t>(world: &ScaledWorld, trace: &'t Trace) -> Plan<'t> {
+    let mut plan = Plan::default();
+    let mut live: FxHashMap<&'t str, usize> = FxHashMap::default();
     for (step, op) in trace.ops.iter().enumerate() {
-        match op {
+        let action = match op {
             TraceOp::Publish { image, generation } | TraceOp::Upgrade { image, generation } => {
                 if matches!(op, TraceOp::Publish { .. }) {
-                    publishes += 1;
+                    plan.publishes += 1;
                 } else {
-                    upgrades += 1;
-                }
-                let vmi = world.build(image, *generation);
-                for r in replicas.iter_mut() {
-                    apply_publish(r, &world, &vmi, image, step, &mut violations, &mut checks);
-                }
-                live.insert(
-                    image.clone(),
-                    LiveImage {
-                        request: RetrieveRequest::for_image(&vmi, &world.catalog),
-                        semantic_fp: oracle::semantic_fingerprint(&world.catalog, &vmi),
-                        full_fp: oracle::full_fingerprint(&world.catalog, &vmi),
-                    },
-                );
-            }
-            TraceOp::Retrieve { image } => {
-                retrieves += 1;
-                retrieve_all(
-                    &world,
-                    &replicas,
-                    &live,
-                    image,
-                    step,
-                    &mut violations,
-                    &mut checks,
-                );
-            }
-            TraceOp::RetrieveRange {
-                image,
-                start_frac,
-                len,
-            } => {
-                range_retrieves += 1;
-                match live.get(image) {
-                    Some(expect) => {
-                        for r in replicas.iter() {
-                            check_retrieve_range(
-                                r,
-                                &world,
-                                expect,
-                                image,
-                                *start_frac,
-                                *len,
-                                step,
-                                true,
-                                &mut violations,
-                                &mut checks,
-                            );
-                        }
-                    }
-                    None => violations.push(format!(
-                        "step {step}: trace range-retrieved dead image {image}"
-                    )),
-                }
-            }
-            TraceOp::Burst { image, count } => {
-                bursts += 1;
-                for _ in 0..*count {
-                    burst_retrieves += 1;
-                    retrieve_all(
-                        &world,
-                        &replicas,
-                        &live,
-                        image,
-                        step,
-                        &mut violations,
-                        &mut checks,
-                    );
-                }
-            }
-            TraceOp::Delete { image } => {
-                deletes += 1;
-                let probe = &live.get(image).expect("trace only deletes live").request;
-                for r in replicas.iter_mut() {
-                    apply_delete(r, &world, image, probe, step, &mut violations, &mut checks);
-                }
-                live.remove(image);
-            }
-            TraceOp::Maintain => {
-                maintains += 1;
-                for r in replicas.iter_mut() {
-                    apply_maintain(r, step, &mut violations, &mut checks);
-                }
-            }
-            TraceOp::Crash => {
-                for r in replicas.iter_mut() {
-                    apply_crash(r);
-                }
-            }
-            TraceOp::Recover => {
-                let ctx = format!("step {step}");
-                for r in replicas.iter_mut() {
-                    apply_recover(r, &ctx, &mut violations, &mut checks);
-                }
-            }
-        }
-        // Refcount / bookkeeping audit after every op, on every store.
-        for r in &replicas {
-            checks += 1;
-            if let Err(v) = r.store.check_integrity() {
-                violations.push(format!(
-                    "step {step} {}: integrity after {}: {v}",
-                    r.store.name(),
-                    op.render()
-                ));
-            }
-        }
-    }
-
-    // Closing durability check: one last power-cut + recovery must
-    // converge to the final in-memory state.
-    final_recover_all(&mut replicas, &mut violations, &mut checks);
-
-    // Closing deep audit: every CAS blob re-hashed, once per store.
-    for r in &replicas {
-        checks += 1;
-        if let Err(v) = r.store.check_integrity_deep() {
-            violations.push(format!("final {}: deep integrity: {v}", r.store.name()));
-        }
-    }
-
-    ChurnReport {
-        seed: cfg.seed,
-        ops: trace.ops.len(),
-        publishes,
-        retrieves,
-        range_retrieves,
-        upgrades,
-        deletes,
-        bursts,
-        burst_retrieves,
-        maintains,
-        crashes: trace.crashes(),
-        oracle_checks: checks,
-        tier: cfg.tier.describe().to_string(),
-        trace_sha256: trace.digest_hex(),
-        stores: replicas
-            .iter()
-            .map(|r| StoreSummary {
-                store: r.store.name().to_string(),
-                final_repo_bytes: r.store.repo_bytes(),
-                final_images: live.len(),
-                bytes_added_total: r.added_total,
-                bytes_freed_total: r.freed_total,
-                sim_seconds: r.sim_seconds,
-            })
-            .collect(),
-        cas_fingerprints: collect_fingerprints(&replicas),
-        durable: collect_durable_summaries(&replicas),
-        violations,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn retrieve_all(
-    world: &ScaledWorld,
-    replicas: &[Replica],
-    live: &FxHashMap<String, LiveImage>,
-    image: &str,
-    step: usize,
-    violations: &mut Vec<String>,
-    checks: &mut u64,
-) {
-    let expect = match live.get(image) {
-        Some(e) => e,
-        None => {
-            violations.push(format!("step {step}: trace retrieved dead image {image}"));
-            return;
-        }
-    };
-    for r in replicas.iter() {
-        check_retrieve(r, world, expect, image, step, violations, checks);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Concurrent replay
-// ---------------------------------------------------------------------
-
-/// One precomputed mutation of a mutation run.
-enum WriteStep {
-    Publish {
-        step: usize,
-        image: String,
-        vmi_idx: usize,
-    },
-    Delete {
-        step: usize,
-        image: String,
-        probe: RetrieveRequest,
-    },
-    Maintain {
-        step: usize,
-    },
-    Crash,
-    Recover {
-        step: usize,
-    },
-}
-
-/// One retrieval of a retrieval run (bursts are expanded). A `Some`
-/// range means a ranged retrieval with its differential oracle.
-struct ReadStep {
-    step: usize,
-    image: String,
-    range: Option<(u32, u32)>,
-}
-
-enum Run {
-    Writes(Vec<WriteStep>),
-    Reads(Vec<ReadStep>),
-}
-
-fn is_write(op: &TraceOp) -> bool {
-    matches!(
-        op,
-        TraceOp::Publish { .. }
-            | TraceOp::Upgrade { .. }
-            | TraceOp::Delete { .. }
-            | TraceOp::Maintain
-            | TraceOp::Crash
-            | TraceOp::Recover
-    )
-}
-
-/// Replay `cfg` with `threads` pool workers: store replicas advance in
-/// parallel, and within retrieval runs, per-image conflict groups fan
-/// out across the pool. The report is byte-identical for every
-/// `threads` value (see the module docs for why).
-pub fn run_churn_threads(cfg: &ChurnConfig, threads: usize) -> ChurnReport {
-    run_churn_threads_with(cfg, threads, None)
-}
-
-/// [`run_churn_threads`] with an optional metrics registry; see
-/// [`run_churn_with`] for the determinism contract.
-pub fn run_churn_threads_with(
-    cfg: &ChurnConfig,
-    threads: usize,
-    registry: Option<&Arc<xpl_obs::Registry>>,
-) -> ChurnReport {
-    rayon::with_num_threads(threads.max(1), || run_churn_concurrent_inner(cfg, registry))
-}
-
-fn run_churn_concurrent_inner(
-    cfg: &ChurnConfig,
-    registry: Option<&Arc<xpl_obs::Registry>>,
-) -> ChurnReport {
-    let (world, trace) = churn_trace(cfg);
-    let mut replicas = fresh_replicas(cfg.durable.is_some(), cfg.tier);
-    if let Some(reg) = registry {
-        for r in &replicas {
-            r.store.attach_obs(reg);
-        }
-    }
-    let mut live: FxHashMap<String, LiveImage> = FxHashMap::default();
-    let mut vmis: Vec<xpl_guestfs::Vmi> = Vec::new();
-    // Fingerprints of each publish, parallel to `vmis` — computed once
-    // here and reused when the execution loop refreshes its view.
-    let mut publish_fps: Vec<LiveImage> = Vec::new();
-    let mut violations: Vec<String> = Vec::new();
-    let mut checks = 0u64;
-    let (mut publishes, mut retrieves, mut upgrades, mut deletes, mut bursts) = (0, 0, 0, 0, 0);
-    let mut burst_retrieves = 0usize;
-    let mut range_retrieves = 0usize;
-    let mut maintains = 0usize;
-
-    // ---- Partition the trace into write/read runs, precomputing the
-    // deterministic payloads (built images, delete probes, live-image
-    // fingerprints) in trace order on the coordinator. ----------------
-    let mut runs: Vec<Run> = Vec::new();
-    for (step, op) in trace.ops.iter().enumerate() {
-        let want_write = is_write(op);
-        let start_new = match runs.last() {
-            Some(Run::Writes(_)) => !want_write,
-            Some(Run::Reads(_)) => want_write,
-            None => true,
-        };
-        if start_new {
-            runs.push(if want_write {
-                Run::Writes(Vec::new())
-            } else {
-                Run::Reads(Vec::new())
-            });
-        }
-        match (runs.last_mut().unwrap(), op) {
-            (Run::Writes(steps), TraceOp::Publish { image, generation })
-            | (Run::Writes(steps), TraceOp::Upgrade { image, generation }) => {
-                if matches!(op, TraceOp::Publish { .. }) {
-                    publishes += 1;
-                } else {
-                    upgrades += 1;
+                    plan.upgrades += 1;
                 }
                 let vmi = world.build(image, *generation);
                 let expect = LiveImage {
@@ -1091,245 +824,188 @@ fn run_churn_concurrent_inner(
                     semantic_fp: oracle::semantic_fingerprint(&world.catalog, &vmi),
                     full_fp: oracle::full_fingerprint(&world.catalog, &vmi),
                 };
-                live.insert(image.clone(), expect.clone());
-                steps.push(WriteStep::Publish {
-                    step,
-                    image: image.clone(),
-                    vmi_idx: vmis.len(),
+                let idx = plan.published.len();
+                plan.published.push(Published {
+                    name: image.clone(),
+                    vmi,
+                    expect,
                 });
-                vmis.push(vmi);
-                publish_fps.push(expect);
+                live.insert(image, idx);
+                Action::Publish(idx)
             }
-            (Run::Writes(steps), TraceOp::Delete { image }) => {
-                deletes += 1;
-                let probe = live
-                    .get(image)
-                    .expect("trace only deletes live")
-                    .request
-                    .clone();
-                live.remove(image);
-                steps.push(WriteStep::Delete {
-                    step,
-                    image: image.clone(),
-                    probe,
-                });
+            TraceOp::Retrieve { image } | TraceOp::Burst { image, .. } => {
+                let times = match op {
+                    TraceOp::Burst { count, .. } => {
+                        plan.bursts += 1;
+                        plan.burst_retrieves += *count as usize;
+                        *count
+                    }
+                    _ => {
+                        plan.retrieves += 1;
+                        1
+                    }
+                };
+                match live.get(image.as_str()) {
+                    Some(&image) => Action::Retrieve { image, times },
+                    None => {
+                        for _ in 0..times {
+                            plan.violations
+                                .push(format!("step {step}: trace retrieved dead image {image}"));
+                        }
+                        Action::Dead
+                    }
+                }
             }
-            (Run::Reads(steps), TraceOp::Retrieve { image }) => {
-                retrieves += 1;
-                steps.push(ReadStep {
-                    step,
-                    image: image.clone(),
-                    range: None,
-                });
+            TraceOp::RetrieveRange {
+                image,
+                start_frac,
+                len,
+            } => {
+                plan.range_retrieves += 1;
+                match live.get(image.as_str()) {
+                    Some(&image) => Action::Range {
+                        image,
+                        start_frac: *start_frac,
+                        len: *len,
+                    },
+                    None => {
+                        plan.violations.push(format!(
+                            "step {step}: trace range-retrieved dead image {image}"
+                        ));
+                        Action::Dead
+                    }
+                }
             }
-            (
-                Run::Reads(steps),
-                TraceOp::RetrieveRange {
-                    image,
+            TraceOp::Delete { image } => {
+                plan.deletes += 1;
+                Action::Delete(
+                    live.remove(image.as_str())
+                        .expect("trace only deletes live"),
+                )
+            }
+            TraceOp::Maintain => {
+                plan.maintains += 1;
+                Action::Maintain
+            }
+            TraceOp::Crash => Action::Crash,
+            TraceOp::Recover => Action::Recover,
+        };
+        plan.ops.push(PlannedOp { step, op, action });
+    }
+    plan.live_images = live.len();
+    plan
+}
+
+/// The replay pass for one replica: every planned op in trace order
+/// with its full per-op oracle, an integrity audit after each, then the
+/// closing power-cut + recovery and deep audit.
+fn replay(r: &mut Replica, world: &ScaledWorld, plan: &Plan) -> (Vec<String>, u64) {
+    let mut violations = Vec::new();
+    let mut checks = 0u64;
+    let (v, c) = (&mut violations, &mut checks);
+    for p in &plan.ops {
+        let step = p.step;
+        match p.action {
+            Action::Publish(i) => {
+                let img = &plan.published[i];
+                apply_publish(r, world, &img.vmi, &img.name, step, v, c);
+            }
+            Action::Retrieve { image, times } => {
+                let img = &plan.published[image];
+                for _ in 0..times {
+                    check_retrieve(r, world, &img.expect, &img.name, step, v, c);
+                }
+            }
+            Action::Range {
+                image,
+                start_frac,
+                len,
+            } => {
+                let img = &plan.published[image];
+                check_retrieve_range(
+                    r,
+                    world,
+                    &img.expect,
+                    &img.name,
                     start_frac,
                     len,
-                },
-            ) => {
-                range_retrieves += 1;
-                steps.push(ReadStep {
                     step,
-                    image: image.clone(),
-                    range: Some((*start_frac, *len)),
-                });
+                    v,
+                    c,
+                );
             }
-            (Run::Reads(steps), TraceOp::Burst { image, count }) => {
-                bursts += 1;
-                for _ in 0..*count {
-                    burst_retrieves += 1;
-                    steps.push(ReadStep {
-                        step,
-                        image: image.clone(),
-                        range: None,
-                    });
-                }
+            Action::Delete(i) => {
+                let img = &plan.published[i];
+                apply_delete(r, world, &img.name, &img.expect.request, step, v, c);
             }
-            (Run::Writes(steps), TraceOp::Maintain) => {
-                maintains += 1;
-                steps.push(WriteStep::Maintain { step });
-            }
-            (Run::Writes(steps), TraceOp::Crash) => steps.push(WriteStep::Crash),
-            (Run::Writes(steps), TraceOp::Recover) => steps.push(WriteStep::Recover { step }),
-            _ => unreachable!("run kind matches op kind by construction"),
+            Action::Maintain => apply_maintain(r, step, v, c),
+            Action::Crash => apply_crash(r),
+            Action::Recover => apply_recover(r, &format!("step {step}"), v, c),
+            Action::Dead => {}
         }
-    }
-
-    // The precompute above consumed `live` transitions; rebuild the
-    // replay-time view incrementally while executing runs below. The
-    // final `live` (after the loop) is what the summary needs, so keep
-    // it; per-run expectations are resolved against `fingerprints`,
-    // which tracks the latest publish of each image and is updated in
-    // run order.
-    let mut fingerprints: FxHashMap<String, LiveImage> = FxHashMap::default();
-
-    for run in &runs {
-        match run {
-            Run::Writes(steps) => {
-                // Update the oracle's view in trace order first (publish
-                // payloads were precomputed; fingerprints resolve to the
-                // *latest* generation at each point of a read run, which
-                // is exactly the state after this whole write run).
-                for ws in steps {
-                    match ws {
-                        WriteStep::Publish { image, vmi_idx, .. } => {
-                            fingerprints.insert(image.clone(), publish_fps[*vmi_idx].clone());
-                        }
-                        WriteStep::Delete { image, .. } => {
-                            fingerprints.remove(image);
-                        }
-                        WriteStep::Maintain { .. }
-                        | WriteStep::Crash
-                        | WriteStep::Recover { .. } => {}
-                    }
-                }
-                // Each replica applies the whole run in trace order; the
-                // five replicas advance in parallel. Every mutation is
-                // followed by the same per-op integrity audit as the
-                // sequential driver.
-                let results: Vec<(Vec<String>, u64)> = replicas
-                    .iter_mut()
-                    .collect::<Vec<&mut Replica>>()
-                    .into_par_iter()
-                    .map(|r| {
-                        let mut v = Vec::new();
-                        let mut c = 0u64;
-                        for ws in steps {
-                            match ws {
-                                WriteStep::Publish {
-                                    step,
-                                    image,
-                                    vmi_idx,
-                                } => {
-                                    apply_publish(
-                                        r,
-                                        &world,
-                                        &vmis[*vmi_idx],
-                                        image,
-                                        *step,
-                                        &mut v,
-                                        &mut c,
-                                    );
-                                }
-                                WriteStep::Delete { step, image, probe } => {
-                                    apply_delete(r, &world, image, probe, *step, &mut v, &mut c);
-                                }
-                                WriteStep::Maintain { step } => {
-                                    apply_maintain(r, *step, &mut v, &mut c);
-                                }
-                                WriteStep::Crash => apply_crash(r),
-                                WriteStep::Recover { step } => {
-                                    apply_recover(r, &format!("step {step}"), &mut v, &mut c);
-                                }
-                            }
-                            c += 1;
-                            if let Err(e) = r.store.check_integrity() {
-                                v.push(format!(
-                                    "{}: integrity after mutation: {e}",
-                                    r.store.name()
-                                ));
-                            }
-                        }
-                        (v, c)
-                    })
-                    .collect();
-                for (v, c) in results {
-                    violations.extend(v);
-                    checks += c;
-                }
-            }
-            Run::Reads(steps) => {
-                // Conflict groups: one per image name, retrievals in
-                // trace order within a group, groups × replicas on the
-                // pool.
-                let mut group_order: Vec<&str> = Vec::new();
-                let mut groups: FxHashMap<&str, Vec<&ReadStep>> = FxHashMap::default();
-                for rs in steps {
-                    groups
-                        .entry(rs.image.as_str())
-                        .or_insert_with(|| {
-                            group_order.push(rs.image.as_str());
-                            Vec::new()
-                        })
-                        .push(rs);
-                }
-                let mut tasks: Vec<(&Replica, &[&ReadStep])> = Vec::new();
-                for r in replicas.iter() {
-                    for image in &group_order {
-                        tasks.push((r, &groups[image]));
-                    }
-                }
-                let results: Vec<(Vec<String>, u64)> = tasks
-                    .into_par_iter()
-                    .map(|(r, group)| {
-                        let mut v = Vec::new();
-                        let mut c = 0u64;
-                        for rs in group {
-                            match (fingerprints.get(&rs.image), rs.range) {
-                                (Some(expect), None) => {
-                                    check_retrieve(
-                                        r, &world, expect, &rs.image, rs.step, &mut v, &mut c,
-                                    );
-                                }
-                                (Some(expect), Some((start_frac, len))) => {
-                                    check_retrieve_range(
-                                        r, &world, expect, &rs.image, start_frac, len, rs.step,
-                                        false, &mut v, &mut c,
-                                    );
-                                }
-                                (None, _) => v.push(format!(
-                                    "step {}: trace retrieved dead image {}",
-                                    rs.step, rs.image
-                                )),
-                            }
-                        }
-                        (v, c)
-                    })
-                    .collect();
-                for (v, c) in results {
-                    violations.extend(v);
-                    checks += c;
-                }
-                // Quiesce audit: one integrity check per store.
-                for r in &replicas {
-                    checks += 1;
-                    if let Err(v) = r.store.check_integrity() {
-                        violations.push(format!(
-                            "{}: integrity at retrieval-run quiesce: {v}",
-                            r.store.name()
-                        ));
-                    }
-                }
-            }
+        // Refcount / bookkeeping audit after every op.
+        *c += 1;
+        if let Err(e) = r.store.check_integrity() {
+            v.push(format!(
+                "step {step} {}: integrity after {}: {e}",
+                r.store.name(),
+                p.op.render()
+            ));
         }
     }
 
     // Closing durability check: one last power-cut + recovery must
     // converge to the final in-memory state.
-    final_recover_all(&mut replicas, &mut violations, &mut checks);
+    apply_crash(r);
+    apply_recover(r, "final", v, c);
 
-    // Closing deep audit: every CAS blob re-hashed, once per store.
-    for r in &replicas {
-        checks += 1;
-        if let Err(v) = r.store.check_integrity_deep() {
-            violations.push(format!("final {}: deep integrity: {v}", r.store.name()));
+    // Closing deep audit: every CAS blob re-hashed.
+    *c += 1;
+    if let Err(e) = r.store.check_integrity_deep() {
+        v.push(format!("final {}: deep integrity: {e}", r.store.name()));
+    }
+    (violations, checks)
+}
+
+/// Replay `cfg` against the five stores and return the oracle's report.
+///
+/// With `registry`, every replica reports into it. Attachment never
+/// changes the report, and the registry's `det` section is derived
+/// purely from the executed op multiset, so both are byte-identical at
+/// any pool size (see the module docs).
+pub fn run_churn(cfg: &ChurnConfig, registry: Option<&Arc<xpl_obs::Registry>>) -> ChurnReport {
+    let (world, trace) = churn_trace(cfg);
+    let mut plan = plan_trace(&world, &trace);
+    let mut replicas = fresh_replicas(cfg.durable.is_some(), cfg.tier);
+    if let Some(reg) = registry {
+        for r in &replicas {
+            r.store.attach_obs(reg);
         }
+    }
+    let results: Vec<(Vec<String>, u64)> = replicas
+        .iter_mut()
+        .collect::<Vec<&mut Replica>>()
+        .into_par_iter()
+        .map(|r| replay(r, &world, &plan))
+        .collect();
+    let mut violations = std::mem::take(&mut plan.violations);
+    let mut checks = 0u64;
+    for (v, c) in results {
+        violations.extend(v);
+        checks += c;
     }
 
     ChurnReport {
         seed: cfg.seed,
         ops: trace.ops.len(),
-        publishes,
-        retrieves,
-        range_retrieves,
-        upgrades,
-        deletes,
-        bursts,
-        burst_retrieves,
-        maintains,
+        publishes: plan.publishes,
+        retrieves: plan.retrieves,
+        range_retrieves: plan.range_retrieves,
+        upgrades: plan.upgrades,
+        deletes: plan.deletes,
+        bursts: plan.bursts,
+        burst_retrieves: plan.burst_retrieves,
+        maintains: plan.maintains,
         crashes: trace.crashes(),
         oracle_checks: checks,
         tier: cfg.tier.describe().to_string(),
@@ -1339,7 +1015,7 @@ fn run_churn_concurrent_inner(
             .map(|r| StoreSummary {
                 store: r.store.name().to_string(),
                 final_repo_bytes: r.store.repo_bytes(),
-                final_images: live.len(),
+                final_images: plan.live_images,
                 bytes_added_total: r.added_total,
                 bytes_freed_total: r.freed_total,
                 sim_seconds: r.sim_seconds,
@@ -1359,7 +1035,7 @@ mod tests {
     // facade's integration suite (tests/churn_oracle.rs).
     #[test]
     fn short_churn_is_clean() {
-        let report = run_churn(&ChurnConfig::small(0xBEEF, 60));
+        let report = run_churn(&ChurnConfig::small(0xBEEF, 60), None);
         assert!(report.violations.is_empty(), "{:#?}", report.violations);
         assert_eq!(report.ops, 60);
         assert!(report.publishes > 0 && report.retrieves > 0);
@@ -1373,12 +1049,12 @@ mod tests {
         // every Maintain op) must end on exactly the CAS fingerprints
         // of the all-DEFLATE and all-LZ4 replays of the same trace.
         let base = ChurnConfig::small(0xC0DEC, 80);
-        let mixed = run_churn(&base);
+        let mixed = run_churn(&base, None);
         assert_eq!(mixed.tier, "mixed");
         assert!(mixed.maintains > 0, "trace never swept the tiers");
         assert!(mixed.violations.is_empty(), "{:#?}", mixed.violations);
         for tier in [TierPolicy::dense(), TierPolicy::fast(), TierPolicy::raw()] {
-            let other = run_churn(&base.with_tier(tier));
+            let other = run_churn(&base.with_tier(tier), None);
             assert!(other.violations.is_empty(), "{:#?}", other.violations);
             assert_eq!(mixed.cas_fingerprints.len(), other.cas_fingerprints.len());
             for (a, b) in mixed.cas_fingerprints.iter().zip(&other.cas_fingerprints) {
@@ -1405,20 +1081,12 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_short_churn_is_clean() {
-        let report = run_churn_threads(&ChurnConfig::small(0xBEEF, 60), 4);
-        assert!(report.violations.is_empty(), "{:#?}", report.violations);
-        assert_eq!(report.ops, 60);
-        assert_eq!(report.stores.len(), 5);
-    }
-
-    #[test]
     fn durable_short_churn_recovers_cleanly() {
         let cfg = ChurnConfig::small(0xBEEF, 60).with_durable(DurableCfg {
             crashes: 2,
             crash_seed: 7,
         });
-        let report = run_churn(&cfg);
+        let report = run_churn(&cfg, None);
         assert!(report.violations.is_empty(), "{:#?}", report.violations);
         assert_eq!(report.crashes, 2);
         let durable = report.durable.as_ref().expect("durable summaries");
@@ -1430,7 +1098,7 @@ mod tests {
         }
         // Durable replay converges to the same end-state fingerprints
         // as the purely in-memory replay of the same base trace.
-        let mem = run_churn(&ChurnConfig::small(0xBEEF, 60));
+        let mem = run_churn(&ChurnConfig::small(0xBEEF, 60), None);
         assert!(mem.durable.is_none());
         assert_eq!(mem.cas_fingerprints.len(), report.cas_fingerprints.len());
         for (a, b) in mem.cas_fingerprints.iter().zip(&report.cas_fingerprints) {
@@ -1441,38 +1109,14 @@ mod tests {
     }
 
     #[test]
-    fn durable_concurrent_matches_sequential_durable() {
-        let cfg = ChurnConfig::small(0x5EED, 60).with_durable(DurableCfg {
-            crashes: 2,
-            crash_seed: 9,
-        });
-        let seq = run_churn(&cfg);
-        let conc = run_churn_threads(&cfg, 4);
-        assert!(seq.violations.is_empty(), "{:#?}", seq.violations);
-        assert!(conc.violations.is_empty(), "{:#?}", conc.violations);
-        for (a, b) in seq.cas_fingerprints.iter().zip(&conc.cas_fingerprints) {
-            assert_eq!(a.fingerprint, b.fingerprint, "{}/{}", a.store, a.section);
-        }
-        let (sd, cd) = (seq.durable.unwrap(), conc.durable.unwrap());
-        for (a, b) in sd.iter().zip(&cd) {
-            assert_eq!(a.store, b.store);
-            assert_eq!(a.recoveries, b.recoveries);
-            assert_eq!(a.wal_records_replayed, b.wal_records_replayed);
-            assert_eq!(a.wal_appends, b.wal_appends);
-            assert_eq!(a.checkpoints, b.checkpoints);
-        }
-    }
-
-    #[test]
     fn det_metrics_are_thread_count_invariant() {
-        // The tentpole pin: the registry's deterministic section is a
-        // pure function of the executed op multiset, so its fingerprint
-        // must be byte-identical at 1, 2, and 8 pool threads — and
-        // match the sequential driver too (same trace, same ops).
+        // The registry's deterministic section is a pure function of the
+        // executed op multiset, so its fingerprint must be byte-identical
+        // at 1, 2, and 8 pool threads.
         let cfg = ChurnConfig::small(0x0B5EED, 60);
         let fp_at = |threads: usize| {
             let registry = xpl_obs::Registry::new();
-            let r = run_churn_threads_with(&cfg, threads, Some(&registry));
+            let r = rayon::with_num_threads(threads, || run_churn(&cfg, Some(&registry)));
             assert!(r.violations.is_empty(), "{:#?}", r.violations);
             let snap = registry.snapshot();
             (
@@ -1487,60 +1131,24 @@ mod tests {
         assert_eq!(det1, det8, "det section diverged between 1 and 8 threads");
         assert_eq!(fp1, fp2);
         assert_eq!(fp1, fp8);
-
-        let seq_registry = xpl_obs::Registry::new();
-        let seq = run_churn_with(&cfg, Some(&seq_registry));
-        assert!(seq.violations.is_empty(), "{:#?}", seq.violations);
-        assert_eq!(
-            seq_registry
-                .snapshot()
-                .render_section_json(xpl_obs::Section::Det),
-            det1,
-            "sequential and pooled drivers must count the same ops"
-        );
     }
 
     #[test]
     fn attaching_metrics_never_changes_the_report() {
         // The zero-interference pin: the churn report (fingerprints,
         // ledgers, violations — everything) is byte-identical whether
-        // or not a registry was attached, in both drivers.
+        // or not a registry was attached.
         let cfg = ChurnConfig::small(0xFACADE, 60);
         let render = |r: &ChurnReport| serde_json::to_string_pretty(r).unwrap();
 
-        let plain = run_churn(&cfg);
+        let plain = run_churn(&cfg, None);
         let registry = xpl_obs::Registry::new();
-        let with = run_churn_with(&cfg, Some(&registry));
+        let with = run_churn(&cfg, Some(&registry));
         assert_eq!(render(&plain), render(&with));
         assert!(
             registry.snapshot().det_fingerprint()
                 != xpl_obs::Registry::new().snapshot().det_fingerprint(),
             "the attached registry must actually have counted something"
         );
-
-        let plain_t = run_churn_threads(&cfg, 4);
-        let registry_t = xpl_obs::Registry::new();
-        let with_t = run_churn_threads_with(&cfg, 4, Some(&registry_t));
-        assert_eq!(render(&plain_t), render(&with_t));
-    }
-
-    #[test]
-    fn concurrent_mode_final_state_matches_sequential() {
-        // The per-op check structure differs between the two drivers
-        // (quiesce points vs. after-every-op), but the replayed end
-        // state — repository bytes, totals, live images — must agree.
-        let cfg = ChurnConfig::small(0x5EED, 80);
-        let seq = run_churn(&cfg);
-        let conc = run_churn_threads(&cfg, 4);
-        assert!(seq.violations.is_empty(), "{:#?}", seq.violations);
-        assert!(conc.violations.is_empty(), "{:#?}", conc.violations);
-        for (a, b) in seq.stores.iter().zip(&conc.stores) {
-            assert_eq!(a.store, b.store);
-            assert_eq!(a.final_repo_bytes, b.final_repo_bytes, "{}", a.store);
-            assert_eq!(a.final_images, b.final_images);
-            assert_eq!(a.bytes_added_total, b.bytes_added_total, "{}", a.store);
-            assert_eq!(a.bytes_freed_total, b.bytes_freed_total, "{}", a.store);
-            assert_eq!(a.sim_seconds, b.sim_seconds, "{}", a.store);
-        }
     }
 }

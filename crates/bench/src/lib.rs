@@ -9,12 +9,11 @@ pub mod ablations;
 pub mod churn;
 pub mod experiments;
 pub mod microbench;
-pub mod profile;
 pub mod render;
 pub mod serve;
 pub mod serve_net;
 
-pub use churn::{run_churn, run_churn_threads_with, run_churn_with, ChurnConfig, ChurnReport};
+pub use churn::{run_churn, ChurnConfig, ChurnReport};
 pub use experiments::{
     fig3_sizes, fig4a_publish, fig4b_publish, fig5a_breakdown, fig5b_retrieval, table2,
     Fig3Scenario,
@@ -22,7 +21,6 @@ pub use experiments::{
 pub use microbench::{
     run_microbench, run_microbench_codec, run_microbench_codec_with, BenchReport,
 };
-pub use profile::{render_profile, run_profile, ProfileConfig, ProfileReport};
 pub use serve::{run_serve, run_serve_with, ServeReport, ServeRunConfig, StoreKind};
 pub use serve_net::{
     run_serve_net, run_serve_net_with, NetServeConfig, NetServeReport, NetTransportKind,

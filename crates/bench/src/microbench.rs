@@ -10,9 +10,8 @@
 //! Inputs are pinned: the committed compress regression corpus
 //! (concatenated + repeated) and seeded synthetic image payloads from
 //! `xpl_pkg::content`, so runs on one machine are comparable over time.
-//! Timings are honest medians-of-iterations (same methodology as the
-//! criterion shim): warm up once, then run enough iterations to fill a
-//! time budget.
+//! Timings are honest medians-of-iterations: warm up once, then run
+//! enough iterations to fill a time budget.
 
 use rayon::prelude::*;
 use serde::Serialize;
@@ -551,8 +550,10 @@ pub fn run_microbench_codec_with(
     } else {
         ChurnConfig::standard(0xBE6C, churn_ops)
     };
+    // Single-threaded replay, store after store: the figure tracks the
+    // oracle's own cost, not the pool size of the host.
     let t0 = Instant::now();
-    let report = crate::churn::run_churn_with(&cfg, registry);
+    let report = rayon::with_num_threads(1, || crate::churn::run_churn(&cfg, registry));
     let churn_wall_s = t0.elapsed().as_secs_f64();
     assert!(
         report.violations.is_empty(),
@@ -576,7 +577,9 @@ pub fn run_microbench_codec_with(
             .map(|_| {
                 let registry = with_metrics.then(xpl_obs::Registry::new);
                 let t = Instant::now();
-                let r = crate::churn::run_churn_with(&overhead_cfg, registry.as_ref());
+                let r = rayon::with_num_threads(1, || {
+                    crate::churn::run_churn(&overhead_cfg, registry.as_ref())
+                });
                 assert!(r.violations.is_empty(), "{:?}", r.violations);
                 t.elapsed().as_secs_f64()
             })

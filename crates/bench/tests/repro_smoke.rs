@@ -62,7 +62,7 @@ fn churn_subcommand_emits_json_and_passes_oracle() {
 
 #[test]
 fn churn_threads_flag_is_thread_count_invariant() {
-    // The concurrent driver through the CLI: --threads 1 and --threads 4
+    // The replay through the CLI: pinning the pool to 1 or 4 threads
     // must print the same report and write the same JSON.
     let path =
         |t: usize| std::env::temp_dir().join(format!("churn-mt-{}-{t}.json", std::process::id()));

@@ -1,10 +1,10 @@
 //! The standing churn acceptance suite: a ≥500-op lifecycle trace
 //! (publishes, retrieval bursts, upgrade-republishes, deletes) replayed
-//! against all five stores in lockstep must pass the differential
+//! against each of the five stores must pass the differential
 //! oracle, and the whole pipeline must be bit-reproducible from its
 //! seed.
 
-use expelliarmus::bench::churn::{churn_trace, run_churn, run_churn_threads, ChurnConfig};
+use expelliarmus::bench::churn::{churn_trace, run_churn, ChurnConfig, ChurnReport};
 use expelliarmus::prelude::*;
 use expelliarmus::workloads::TraceOp;
 
@@ -12,7 +12,7 @@ const SEED: u64 = 0xC0FFEE;
 
 #[test]
 fn five_hundred_op_trace_passes_the_oracle_on_all_five_stores() {
-    let report = run_churn(&ChurnConfig::small(SEED, 520));
+    let report = run_churn(&ChurnConfig::small(SEED, 520), None);
     assert!(
         report.violations.is_empty(),
         "oracle violations:\n{}",
@@ -49,8 +49,8 @@ fn same_seed_reproduces_trace_and_report_byte_identically() {
     let (_, t2) = churn_trace(&cfg);
     assert_eq!(t1.render(), t2.render(), "trace must be byte-identical");
 
-    let a = run_churn(&cfg);
-    let b = run_churn(&cfg);
+    let a = run_churn(&cfg, None);
+    let b = run_churn(&cfg, None);
     let ja = serde_json::to_string_pretty(&a).unwrap();
     let jb = serde_json::to_string_pretty(&b).unwrap();
     assert_eq!(ja, jb, "replay reports must be byte-identical");
@@ -59,21 +59,28 @@ fn same_seed_reproduces_trace_and_report_byte_identically() {
 
 #[test]
 fn concurrent_replay_is_byte_identical_across_thread_counts() {
-    // The acceptance pin for the shared-access refactor: the concurrent
-    // driver's oracle report — ledgers, totals, simulated seconds,
-    // violation list, check counts — must not depend on the worker-pool
-    // size. 1 thread is the degenerate sequential schedule; 2 and 8
-    // exercise real interleavings of the per-image retrieval groups and
-    // the five store replicas. The replay runs under the default mixed
-    // codec tier, so the pin also covers mid-trace recompression sweeps
-    // over mixed-codec CAS states.
+    // The one-driver pin: the five store replicas replay in parallel on
+    // the pool, each with the full per-op oracle, and the report —
+    // ledgers, totals, simulated seconds, violation list, check counts —
+    // must not depend on the pool size. 1 thread replays the replicas
+    // one after another; 2 and 8 run them concurrently. The replay runs
+    // under the default mixed codec tier, so the pin also covers
+    // mid-trace recompression sweeps over mixed-codec CAS states.
     let cfg = ChurnConfig::small(SEED, 200);
-    let one = serde_json::to_string_pretty(&run_churn_threads(&cfg, 1)).unwrap();
-    let two = serde_json::to_string_pretty(&run_churn_threads(&cfg, 2)).unwrap();
-    let eight = serde_json::to_string_pretty(&run_churn_threads(&cfg, 8)).unwrap();
-    assert_eq!(one, two, "2-thread replay diverged from 1-thread");
-    assert_eq!(one, eight, "8-thread replay diverged from 1-thread");
-    let report = run_churn_threads(&cfg, 8);
+    let at = |threads: usize| rayon::with_num_threads(threads, || run_churn(&cfg, None));
+    let render = |r: &ChurnReport| serde_json::to_string_pretty(r).unwrap();
+    let report = at(1);
+    let one = render(&report);
+    assert_eq!(
+        one,
+        render(&at(2)),
+        "2-thread replay diverged from 1-thread"
+    );
+    assert_eq!(
+        one,
+        render(&at(8)),
+        "8-thread replay diverged from 1-thread"
+    );
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert!(report.retrieves > 0 && report.publishes > 0 && report.deletes > 0);
     assert_eq!(report.tier, "mixed");

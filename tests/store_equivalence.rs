@@ -238,3 +238,58 @@ fn publish_reports_are_consistent() {
         );
     }
 }
+
+#[test]
+fn five_stores_serve_distinct_images_concurrently() {
+    // The shared-access (`&self`) retrieval path under real contention:
+    // four threads per store retrieve every image at once, each starting
+    // at a different image so distinct images are in flight together.
+    // Every concurrent retrieval must match the sequential one.
+    const THREADS: usize = 4;
+    let world = World::small();
+    let names = world.image_names();
+    let requests: Vec<RetrieveRequest> = names
+        .iter()
+        .map(|name| RetrieveRequest::for_image(&world.build_image(name), &world.catalog))
+        .collect();
+    for store in expelliarmus::bench::churn::five_stores(|| world.env()) {
+        for name in &names {
+            store
+                .publish(&world.catalog, &world.build_image(name))
+                .unwrap_or_else(|e| panic!("{}: publish {name}: {e}", store.name()));
+        }
+        let sequential: Vec<_> = requests
+            .iter()
+            .map(|req| {
+                let (vmi, _) = store.retrieve(&world.catalog, req).unwrap();
+                semantic_fingerprint(&world.catalog, &vmi)
+            })
+            .collect();
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (store, world, names, requests, sequential, barrier) =
+                    (&store, &world, &names, &requests, &sequential, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    for k in 0..requests.len() {
+                        let i = (t + k) % requests.len();
+                        let (vmi, _) = store
+                            .retrieve(&world.catalog, &requests[i])
+                            .unwrap_or_else(|e| panic!("{}: retrieve: {e}", store.name()));
+                        assert_eq!(
+                            semantic_fingerprint(&world.catalog, &vmi),
+                            sequential[i],
+                            "{}: concurrent retrieval of {} diverged",
+                            store.name(),
+                            names[i]
+                        );
+                    }
+                });
+            }
+        });
+        store
+            .check_integrity()
+            .unwrap_or_else(|e| panic!("{} integrity: {e}", store.name()));
+    }
+}
