@@ -210,8 +210,8 @@ fn parse_metrics(args: &[String]) -> Option<Metrics> {
 }
 
 impl Metrics {
-    fn registry(&self) -> Option<&std::sync::Arc<xpl_obs::Registry>> {
-        Some(&self.registry)
+    fn registry(&self) -> &std::sync::Arc<xpl_obs::Registry> {
+        &self.registry
     }
 
     /// Snapshot the registry into the requested file. Written even when
@@ -227,6 +227,41 @@ impl Metrics {
             snap.det_fingerprint()
         );
     }
+}
+
+/// `--json FILE`: write `report` there as pretty JSON.
+fn write_json_flag<T: serde::Serialize>(args: &[String], report: &T) {
+    if let Some(path) = flag_value(args, "--json") {
+        let json = serde_json::to_string_pretty(report).expect("serialize report");
+        std::fs::File::create(&path)
+            .and_then(|mut f| f.write_all(json.as_bytes()))
+            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+        eprintln!("[repro] wrote {path}");
+    }
+}
+
+/// The shared tail of the oracle-checked runs (`churn`, `serve`,
+/// `serve --net`): write `--json` and `--metrics`, then print PASS and
+/// exit 0, or print up to 20 violations and exit 1.
+fn finish_oracle_run<T: serde::Serialize>(
+    args: &[String],
+    report: &T,
+    metrics: Option<&Metrics>,
+    violations: &[String],
+) -> ! {
+    write_json_flag(args, report);
+    if let Some(m) = metrics {
+        m.finish();
+    }
+    if violations.is_empty() {
+        println!("  oracle: PASS");
+        std::process::exit(0);
+    }
+    eprintln!("  oracle: {} VIOLATIONS", violations.len());
+    for v in violations.iter().take(20) {
+        eprintln!("    {v}");
+    }
+    std::process::exit(1);
 }
 
 fn run_churn_cmd(args: &[String]) -> ! {
@@ -256,7 +291,7 @@ fn run_churn_cmd(args: &[String]) -> ! {
         cfg = cfg.with_durable(dcfg);
     }
     let metrics = parse_metrics(args);
-    let registry = metrics.as_ref().and_then(Metrics::registry);
+    let registry = metrics.as_ref().map(Metrics::registry);
     eprintln!("[repro] churn replay: seed={seed:#x} ops={ops} durable={durable}");
     let run = || churn::run_churn(&cfg, registry);
     let report = match parse_threads(args) {
@@ -305,25 +340,7 @@ fn run_churn_cmd(args: &[String]) -> ! {
             );
         }
     }
-    if let Some(path) = flag_value(args, "--json") {
-        let json = serde_json::to_string_pretty(&report).expect("serialize churn report");
-        std::fs::File::create(&path)
-            .and_then(|mut f| f.write_all(json.as_bytes()))
-            .expect("write churn JSON");
-        eprintln!("[repro] wrote {path}");
-    }
-    if let Some(m) = &metrics {
-        m.finish();
-    }
-    if report.violations.is_empty() {
-        println!("  oracle: PASS");
-        std::process::exit(0);
-    }
-    eprintln!("  oracle: {} VIOLATIONS", report.violations.len());
-    for v in report.violations.iter().take(20) {
-        eprintln!("    {v}");
-    }
-    std::process::exit(1);
+    finish_oracle_run(args, &report, metrics.as_ref(), &report.violations);
 }
 
 /// `repro audit` — the deep integrity audit (`check_integrity_deep`:
@@ -416,7 +433,7 @@ fn run_serve_cmd(args: &[String]) -> ! {
         cfg.tier = tier;
     }
     let metrics = parse_metrics(args);
-    let registry = metrics.as_ref().and_then(Metrics::registry);
+    let registry = metrics.as_ref().map(Metrics::registry);
 
     // `--net`: serve the schedule over the wire layer instead of the
     // virtual-time registry simulation (see `xpl_bench::serve_net`).
@@ -449,27 +466,9 @@ fn run_serve_cmd(args: &[String]) -> ! {
              transport={:?} faults={}/256",
             cfg.scale_name, cfg.tenants, cfg.requests, cfg.store, net.transport, net.fault_rate
         );
-        let report = xpl_bench::run_serve_net_with(&cfg, &net, registry);
+        let report = xpl_bench::run_serve_net(&cfg, &net, registry);
         print!("{}", xpl_bench::serve_net::render_net(&report));
-        if let Some(path) = flag_value(args, "--json") {
-            let json = serde_json::to_string_pretty(&report).expect("serialize net serve report");
-            std::fs::File::create(&path)
-                .and_then(|mut f| f.write_all(json.as_bytes()))
-                .expect("write net serve JSON");
-            eprintln!("[repro] wrote {path}");
-        }
-        if let Some(m) = &metrics {
-            m.finish();
-        }
-        if report.violations.is_empty() {
-            println!("  oracle: PASS");
-            std::process::exit(0);
-        }
-        eprintln!("  oracle: {} VIOLATIONS", report.violations.len());
-        for v in report.violations.iter().take(20) {
-            eprintln!("    {v}");
-        }
-        std::process::exit(1);
+        finish_oracle_run(args, &report, metrics.as_ref(), &report.violations);
     }
 
     let threads = parse_threads(args);
@@ -477,31 +476,13 @@ fn run_serve_cmd(args: &[String]) -> ! {
         "[repro] serve: seed={seed:#x} scale={} tenants={} requests={} store={:?}",
         cfg.scale_name, cfg.tenants, cfg.requests, cfg.store
     );
-    let run = || xpl_bench::run_serve_with(&cfg, registry);
+    let run = || xpl_bench::run_serve(&cfg, registry);
     let report = match threads {
         Some(n) => rayon::with_num_threads(n, run),
         None => run(),
     };
     print!("{}", xpl_bench::serve::render(&report));
-    if let Some(path) = flag_value(args, "--json") {
-        let json = serde_json::to_string_pretty(&report).expect("serialize serve report");
-        std::fs::File::create(&path)
-            .and_then(|mut f| f.write_all(json.as_bytes()))
-            .expect("write serve JSON");
-        eprintln!("[repro] wrote {path}");
-    }
-    if let Some(m) = &metrics {
-        m.finish();
-    }
-    if report.violations.is_empty() {
-        println!("  oracle: PASS");
-        std::process::exit(0);
-    }
-    eprintln!("  oracle: {} VIOLATIONS", report.violations.len());
-    for v in report.violations.iter().take(20) {
-        eprintln!("    {v}");
-    }
-    std::process::exit(1);
+    finish_oracle_run(args, &report, metrics.as_ref(), &report.violations);
 }
 
 fn run_bench_cmd(args: &[String]) -> ! {
@@ -535,19 +516,13 @@ fn run_bench_cmd(args: &[String]) -> ! {
     );
     let metrics = parse_metrics(args);
     let t0 = std::time::Instant::now();
-    let report = xpl_bench::run_microbench_codec_with(
+    let report = xpl_bench::run_microbench(
         quick,
         blocked_codec,
-        metrics.as_ref().and_then(Metrics::registry),
+        metrics.as_ref().map(Metrics::registry),
     );
     print!("{}", xpl_bench::microbench::render(&report));
-    if let Some(path) = flag_value(args, "--json") {
-        let json = serde_json::to_string_pretty(&report).expect("serialize bench report");
-        std::fs::File::create(&path)
-            .and_then(|mut f| f.write_all(json.as_bytes()))
-            .expect("write bench JSON");
-        eprintln!("[repro] wrote {path}");
-    }
+    write_json_flag(args, &report);
     if let Some(m) = &metrics {
         m.finish();
     }
@@ -562,13 +537,7 @@ fn run_ablate_codec_cmd(args: &[String]) -> ! {
     eprintln!("[repro] codec ablation over a {mib} MiB seeded payload…");
     let rows = ablations::codec_ablation_sweep(mib * 1024 * 1024, 0.2);
     print_codec_ablation(&rows);
-    if let Some(path) = flag_value(args, "--json") {
-        let json = serde_json::to_string_pretty(&rows).expect("serialize codec ablation");
-        std::fs::File::create(&path)
-            .and_then(|mut f| f.write_all(json.as_bytes()))
-            .expect("write codec ablation JSON");
-        eprintln!("[repro] wrote {path}");
-    }
+    write_json_flag(args, &rows);
     std::process::exit(0);
 }
 

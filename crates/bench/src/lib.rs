@@ -18,10 +18,6 @@ pub use experiments::{
     fig3_sizes, fig4a_publish, fig4b_publish, fig5a_breakdown, fig5b_retrieval, table2,
     Fig3Scenario,
 };
-pub use microbench::{
-    run_microbench, run_microbench_codec, run_microbench_codec_with, BenchReport,
-};
-pub use serve::{run_serve, run_serve_with, ServeReport, ServeRunConfig, StoreKind};
-pub use serve_net::{
-    run_serve_net, run_serve_net_with, NetServeConfig, NetServeReport, NetTransportKind,
-};
+pub use microbench::{run_microbench, BenchReport};
+pub use serve::{run_serve, ServeReport, ServeRunConfig, StoreKind};
+pub use serve_net::{run_serve_net, NetServeConfig, NetServeReport, NetTransportKind};

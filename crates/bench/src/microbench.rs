@@ -258,27 +258,16 @@ fn kernel<F: FnMut()>(name: &str, input_bytes: usize, budget_s: f64, f: F) -> Ke
     }
 }
 
-/// Run the full benchmark suite with the default (DEFLATE) blocked
-/// container. `quick` shrinks inputs and budgets so the smoke tests
-/// can execute the whole path in seconds.
-pub fn run_microbench(quick: bool) -> BenchReport {
-    run_microbench_codec(quick, InnerCodec::Deflate)
-}
-
-/// Run the suite with the blocked section's container on a chosen
-/// inner codec (`repro bench --codec`). The codec-tier comparison
-/// kernels (`lz4-compress` / `lz4-decompress` / `hot-range-read`)
-/// always measure both codecs regardless of this choice.
-pub fn run_microbench_codec(quick: bool, blocked_codec: InnerCodec) -> BenchReport {
-    run_microbench_codec_with(quick, blocked_codec, None)
-}
-
-/// Like [`run_microbench_codec`], with an optional metrics registry
-/// (`repro bench --metrics`). The registry is attached to the serving
-/// and churn legs; the `metrics_overhead` section always builds its own
-/// private registries so the instrumented-vs-bare comparison stays
-/// clean regardless of this choice.
-pub fn run_microbench_codec_with(
+/// Run the full benchmark suite. `quick` shrinks inputs and budgets so
+/// the smoke tests can execute the whole path in seconds.
+/// `blocked_codec` is the blocked section's container codec (`repro
+/// bench --codec`); the codec-tier comparison kernels (`lz4-compress` /
+/// `lz4-decompress` / `hot-range-read`) always measure both codecs.
+/// An optional metrics registry (`repro bench --metrics`) is attached
+/// to the serving and churn legs; the `metrics_overhead` section always
+/// builds its own private registries so the instrumented-vs-bare
+/// comparison stays clean regardless of this choice.
+pub fn run_microbench(
     quick: bool,
     blocked_codec: InnerCodec,
     registry: Option<&std::sync::Arc<xpl_obs::Registry>>,
@@ -486,7 +475,7 @@ pub fn run_microbench_codec_with(
     } else {
         ServeRunConfig::standard(0xBE6C)
     };
-    let serve = crate::serve::run_serve_with(&serve_cfg, registry);
+    let serve = crate::serve::run_serve(&serve_cfg, registry);
     assert!(
         serve.violations.is_empty(),
         "serve differential oracle failed during bench: {:?}",
@@ -1098,7 +1087,7 @@ mod tests {
 
     #[test]
     fn quick_bench_runs_and_validates() {
-        let report = run_microbench(true);
+        let report = run_microbench(true, InnerCodec::Deflate, None);
         assert!(report.kernels.len() >= 12);
         for k in &report.kernels {
             assert!(k.mib_per_s > 0.0, "{} throughput must be positive", k.name);
@@ -1126,7 +1115,7 @@ mod tests {
         // `repro bench --codec lz4` swaps the blocked section's inner
         // codec; the report must still self-validate and record which
         // container it measured.
-        let report = run_microbench_codec(true, InnerCodec::Lz4);
+        let report = run_microbench(true, InnerCodec::Lz4, None);
         assert_eq!(report.codec.blocked_codec, "blocked-lz4");
         let json = serde_json::to_string_pretty(&report).unwrap();
         check_report_json(&json).expect("lz4-container self-check must pass");
@@ -1136,7 +1125,7 @@ mod tests {
     fn check_rejects_missing_and_zero_fields() {
         assert!(check_report_json("{}").is_err());
         assert!(check_report_json("not json").is_err());
-        let report = run_microbench(true);
+        let report = run_microbench(true, InnerCodec::Deflate, None);
         let json = serde_json::to_string_pretty(&report).unwrap();
         let broken = json.replacen("\"mib_per_s\"", "\"mib_per_s_gone\"", 1);
         assert!(check_report_json(&broken).is_err());

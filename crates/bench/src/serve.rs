@@ -322,18 +322,12 @@ pub(crate) fn prepare(cfg: &ServeRunConfig) -> PreparedServe {
 }
 
 /// Run the full serve pipeline. See the module docs for the phases.
-pub fn run_serve(cfg: &ServeRunConfig) -> ServeReport {
-    run_serve_with(cfg, None)
-}
-
-/// [`run_serve`] with an optional metrics registry: the store mirrors
-/// its CAS accounting into `cas.*` and the registry simulation folds
-/// its outcome into `registry.*` after the run. The report is
-/// byte-identical with or without the registry attached.
-pub fn run_serve_with(
-    cfg: &ServeRunConfig,
-    registry: Option<&Arc<xpl_obs::Registry>>,
-) -> ServeReport {
+///
+/// With a metrics registry, the store mirrors its CAS accounting into
+/// `cas.*` and the registry simulation folds its outcome into
+/// `registry.*` after the run. The report is byte-identical with or
+/// without the registry attached.
+pub fn run_serve(cfg: &ServeRunConfig, registry: Option<&Arc<xpl_obs::Registry>>) -> ServeReport {
     let PreparedServe {
         world,
         names,
@@ -572,8 +566,8 @@ mod tests {
         let mut cfg = ServeRunConfig::small(0x5E21);
         cfg.requests = 120;
         cfg.tenants = 3;
-        let a = run_serve(&cfg);
-        let b = run_serve(&cfg);
+        let a = run_serve(&cfg, None);
+        let b = run_serve(&cfg, None);
         assert!(a.violations.is_empty(), "{:?}", a.violations);
         assert_eq!(a.request_log_sha256, b.request_log_sha256);
         assert_eq!(a.schedule_sha256, b.schedule_sha256);
@@ -594,9 +588,9 @@ mod tests {
         let mut cfg = ServeRunConfig::small(0xC0A1);
         cfg.requests = 150;
         cfg.tenants = 3;
-        let on = run_serve(&cfg);
+        let on = run_serve(&cfg, None);
         cfg.coalesce = false;
-        let off = run_serve(&cfg);
+        let off = run_serve(&cfg, None);
         assert!(on.coalesced_hits > 0, "saturated Zipf load must coalesce");
         assert!(on.store_hits < off.store_hits);
         assert_eq!(off.coalesced_hits, 0);
@@ -619,9 +613,9 @@ mod tests {
         cfg.requests = 120;
         cfg.tenants = 3;
         cfg.tier = TierPolicy::raw();
-        let raw = run_serve(&cfg);
+        let raw = run_serve(&cfg, None);
         cfg.tier = TierPolicy::mixed();
-        let mixed = run_serve(&cfg);
+        let mixed = run_serve(&cfg, None);
         assert!(raw.violations.is_empty(), "{:?}", raw.violations);
         assert!(mixed.violations.is_empty(), "{:?}", mixed.violations);
         assert_eq!(raw.key_digests_sha256, mixed.key_digests_sha256);

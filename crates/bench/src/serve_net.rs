@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 use xpl_net::{
     BackoffPolicy, ClientStats, FaultConfig, MemHost, NetClient, NetServer, WireConfig, WireService,
 };
+use xpl_obs::{Registry, Section};
 use xpl_registry::RequestKey;
 use xpl_store::{ImageStore, RetrieveRequest};
 use xpl_util::Sha256;
@@ -161,21 +162,20 @@ fn sorted_table_sha256(table: &HashMap<String, String>) -> String {
 }
 
 /// Run the wire pipeline. See the module docs for the legs.
-pub fn run_serve_net(cfg: &ServeRunConfig, net: &NetServeConfig) -> NetServeReport {
-    run_serve_net_with(cfg, net, None)
-}
-
-/// [`run_serve_net`] with an optional metrics registry. When attached:
-/// the store mirrors its CAS accounting, the server mirrors its
-/// connection accounting onto `net.*` counters, a prober thread issues
-/// `Stats` wire requests *while* the schedule (and any fault storm) is
-/// in flight, and one more probe lands mid-drain on the in-memory
+///
+/// The server, the host's fault injector and the client pool count
+/// into `net.*` counters of `registry` — or of a private registry when
+/// none is given — and the report's counter fields are read from that
+/// registry's snapshot after the drain. A caller-supplied registry
+/// additionally gets the store's CAS accounting, a prober thread that
+/// issues `Stats` wire requests *while* the schedule (and any fault
+/// storm) is in flight, and one more probe mid-drain on the in-memory
 /// host — every snapshot must come back parseable with a well-formed
 /// deterministic-section fingerprint, or the run records a violation.
-pub fn run_serve_net_with(
+pub fn run_serve_net(
     cfg: &ServeRunConfig,
     net: &NetServeConfig,
-    registry: Option<&Arc<xpl_obs::Registry>>,
+    registry: Option<&Arc<Registry>>,
 ) -> NetServeReport {
     let PreparedServe {
         world,
@@ -186,6 +186,7 @@ pub fn run_serve_net_with(
     if let Some(reg) = registry {
         store.attach_obs(reg);
     }
+    let counted = registry.cloned().unwrap_or_else(Registry::new);
     let world = Arc::new(world);
     let requests = Arc::new(requests);
 
@@ -245,14 +246,17 @@ pub fn run_serve_net_with(
     };
     let host = match net.transport {
         NetTransportKind::Tcp => Host::Tcp(
-            NetServer::bind_obs("127.0.0.1:0", svc, wire_cfg, registry)
+            NetServer::bind_obs("127.0.0.1:0", svc, wire_cfg, Some(&counted))
                 .unwrap_or_else(|e| panic!("net serve: bind: {e}")),
         ),
-        NetTransportKind::Mem => {
-            Host::Mem(Arc::new(MemHost::new_obs(svc, wire_cfg, faults, registry)))
-        }
+        NetTransportKind::Mem => Host::Mem(Arc::new(MemHost::new_obs(
+            svc,
+            wire_cfg,
+            faults,
+            Some(&counted),
+        ))),
     };
-    let probe_client = |tenant: u32, seed: u64| -> NetClient {
+    let new_client = |tenant: u32, seed: u64| -> NetClient {
         match &host {
             Host::Tcp(server) => {
                 NetClient::tcp(server.local_addr(), tenant, wire_cfg, backoff, seed)
@@ -275,7 +279,7 @@ pub fn run_serve_net_with(
     // retrying through the storm, and records (key, wire digest).
     let wire_table: Mutex<HashMap<String, String>> = Mutex::new(HashMap::new());
     let violations: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let pool_stats: Mutex<Vec<ClientStats>> = Mutex::new(Vec::new());
+    let pool_stats: Mutex<ClientStats> = Mutex::new(ClientStats::default());
     let workers_live = AtomicUsize::new(0);
     let probes_ok = AtomicU64::new(0);
     let last_probe_fp: Mutex<String> = Mutex::new(String::new());
@@ -294,21 +298,7 @@ pub fn run_serve_net_with(
                     continue;
                 }
                 let client_seed = net.net_seed ^ (tenant as u64) << 16 ^ conn as u64;
-                let mut client = match &host {
-                    Host::Tcp(server) => {
-                        NetClient::tcp(server.local_addr(), tenant, wire_cfg, backoff, client_seed)
-                    }
-                    Host::Mem(host) => {
-                        let host = host.clone();
-                        NetClient::new(
-                            tenant,
-                            wire_cfg,
-                            backoff,
-                            client_seed,
-                            Box::new(move || Ok(host.connect())),
-                        )
-                    }
-                };
+                let mut client = new_client(tenant, client_seed);
                 workers_live.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                 let (wire_table, violations, pool_stats, memo, workers_live) =
                     (&wire_table, &violations, &pool_stats, &memo, &workers_live);
@@ -342,7 +332,11 @@ pub fn run_serve_net_with(
                         }
                     }
                     client.close();
-                    pool_stats.lock().unwrap().push(client.stats);
+                    let mut pool = pool_stats.lock().unwrap();
+                    pool.served += client.stats.served;
+                    pool.retries += client.stats.retries;
+                    pool.reconnects += client.stats.reconnects;
+                    pool.overloads_seen += client.stats.overloads_seen;
                     workers_live.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
                 });
             }
@@ -355,7 +349,7 @@ pub fn run_serve_net_with(
         if registry.is_some() {
             let (violations, workers_live, probes_ok, last_probe_fp) =
                 (&violations, &workers_live, &probes_ok, &last_probe_fp);
-            let mut prober = probe_client(0, net.net_seed ^ 0x5747_5053);
+            let mut prober = new_client(0, net.net_seed ^ 0x5747_5053);
             scope.spawn(move || {
                 while workers_live.load(std::sync::atomic::Ordering::SeqCst) > 0 {
                     match prober.stats_snapshot() {
@@ -390,7 +384,7 @@ pub fn run_serve_net_with(
     // even as it rejects ordinary requests.
     if let (Some(_), Host::Mem(mem)) = (registry, &host) {
         mem.begin_drain();
-        let mut prober = probe_client(0, net.net_seed ^ 0x4452_4149);
+        let mut prober = new_client(0, net.net_seed ^ 0x4452_4149);
         match prober.stats_snapshot() {
             Ok(raw) => match std::str::from_utf8(&raw)
                 .ok()
@@ -417,22 +411,14 @@ pub fn run_serve_net_with(
     }
 
     // Leg 3 — drain and close the books.
-    let (srv, fault_counts, transport_name) = match host {
-        Host::Tcp(server) => (server.drain(), [0u64; 4], "tcp"),
+    let transport_name = match host {
+        Host::Tcp(server) => {
+            server.drain();
+            "tcp"
+        }
         Host::Mem(host) => {
-            let stats = host.drain();
-            use std::sync::atomic::Ordering::Relaxed;
-            let f = host.fault_stats();
-            (
-                stats,
-                [
-                    f.resets.load(Relaxed),
-                    f.torn_writes.load(Relaxed),
-                    f.short_reads.load(Relaxed),
-                    f.delays.load(Relaxed),
-                ],
-                "mem",
-            )
+            host.drain();
+            "mem"
         }
     };
 
@@ -451,42 +437,28 @@ pub fn run_serve_net_with(
             "wire key-digest table {wire_key_digests_sha256} != in-process {key_digests_sha256}"
         ));
     }
-    let pool_stats = pool_stats.into_inner().unwrap();
-    let served: u64 = pool_stats.iter().map(|s| s.served).sum();
-    if served != cfg.requests as u64 {
+    let pool = pool_stats.into_inner().unwrap();
+    for (name, total) in [
+        ("net.client.served", pool.served),
+        ("net.client.retries", pool.retries),
+        ("net.client.reconnects", pool.reconnects),
+        ("net.client.overloads_seen", pool.overloads_seen),
+    ] {
+        counted.counter(name, Section::Wall).add(total);
+    }
+    if pool.served != cfg.requests as u64 {
         violations.push(format!(
-            "clients served {served} of {} scheduled requests",
-            cfg.requests
+            "clients served {} of {} scheduled requests",
+            pool.served, cfg.requests
         ));
     }
-
-    let retries: u64 = pool_stats.iter().map(|s| s.retries).sum();
-    let reconnects: u64 = pool_stats.iter().map(|s| s.reconnects).sum();
-    let overloads_seen: u64 = pool_stats.iter().map(|s| s.overloads_seen).sum();
-    if let Some(reg) = registry {
-        // Fold the client-pool and injected-fault accounting onto the
-        // canonical metric names, so the snapshot carries the same
-        // numbers the report does (the server side already mirrored
-        // live through `ServerObs`).
-        use xpl_obs::Section::Wall;
-        reg.counter("net.client.served", Wall).add(served);
-        reg.counter("net.client.retries", Wall).add(retries);
-        reg.counter("net.client.reconnects", Wall).add(reconnects);
-        reg.counter("net.client.overloads_seen", Wall)
-            .add(overloads_seen);
-        reg.counter("net.faults.resets", Wall).add(fault_counts[0]);
-        reg.counter("net.faults.torn_writes", Wall)
-            .add(fault_counts[1]);
-        reg.counter("net.faults.short_reads", Wall)
-            .add(fault_counts[2]);
-        reg.counter("net.faults.delays", Wall).add(fault_counts[3]);
-        // Quiesced registry: two consecutive snapshots must agree.
-        let a = reg.snapshot().fingerprint();
-        let b = reg.snapshot().fingerprint();
-        if a != b {
-            violations.push(format!("quiesced registry unstable: {a} != {b}"));
-        }
+    // Quiesced registry: two consecutive snapshots must agree.
+    let snap = counted.snapshot();
+    let (a, b) = (snap.fingerprint(), counted.snapshot().fingerprint());
+    if a != b {
+        violations.push(format!("quiesced registry unstable: {a} != {b}"));
     }
+    let n = |name: &str| snap.counter(name);
 
     NetServeReport {
         schema_version: 2,
@@ -504,26 +476,26 @@ pub fn run_serve_net_with(
         distinct_keys,
         key_digests_sha256,
         wire_key_digests_sha256,
-        served,
-        retries,
-        reconnects,
-        overloads_seen,
-        srv_connections: srv.connections,
-        srv_served: srv.served,
-        srv_overloads: srv.overloads,
-        srv_evictions: srv.evictions,
-        srv_peer_closed: srv.peer_closed,
-        srv_drain_rejects: srv.drain_rejects,
-        srv_frame_errors: srv.frame_errors,
-        faults_resets: fault_counts[0],
-        faults_torn_writes: fault_counts[1],
-        faults_short_reads: fault_counts[2],
-        faults_delays: fault_counts[3],
+        served: n("net.client.served"),
+        retries: n("net.client.retries"),
+        reconnects: n("net.client.reconnects"),
+        overloads_seen: n("net.client.overloads_seen"),
+        srv_connections: n("net.connections"),
+        srv_served: n("net.served"),
+        srv_overloads: n("net.overloads"),
+        srv_evictions: n("net.evictions"),
+        srv_peer_closed: n("net.peer_closed"),
+        srv_drain_rejects: n("net.drain_rejects"),
+        srv_frame_errors: n("net.frame_errors"),
+        faults_resets: n("net.faults.resets"),
+        faults_torn_writes: n("net.faults.torn_writes"),
+        faults_short_reads: n("net.faults.short_reads"),
+        faults_delays: n("net.faults.delays"),
         stats_probes: probes_ok.load(std::sync::atomic::Ordering::Relaxed),
         stats_probe_fingerprint: last_probe_fp.into_inner().unwrap(),
         wall_s,
         wire_ops_per_s: if wall_s > 0.0 {
-            served as f64 / wall_s
+            pool.served as f64 / wall_s
         } else {
             0.0
         },
@@ -606,7 +578,7 @@ mod tests {
             net_seed: 1,
             conns_per_tenant: 2,
         };
-        let r = run_serve_net(&cfg, &net);
+        let r = run_serve_net(&cfg, &net, None);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
         assert_eq!(r.wire_key_digests_sha256, r.key_digests_sha256);
         assert_eq!(r.served, 80);
@@ -621,14 +593,14 @@ mod tests {
         // fingerprint the same key -> digest table for the same
         // seed/scale/store.
         let cfg = tiny_cfg(0x11E8);
-        let in_process = crate::serve::run_serve(&cfg);
+        let in_process = crate::serve::run_serve(&cfg, None);
         let net = NetServeConfig {
             transport: NetTransportKind::Mem,
             fault_rate: 0,
             net_seed: 2,
             conns_per_tenant: 1,
         };
-        let wire = run_serve_net(&cfg, &net);
+        let wire = run_serve_net(&cfg, &net, None);
         assert_eq!(wire.key_digests_sha256, in_process.key_digests_sha256);
         assert_eq!(wire.wire_key_digests_sha256, in_process.key_digests_sha256);
     }
@@ -645,8 +617,8 @@ mod tests {
             net_seed: 0xF00D,
             conns_per_tenant: 2,
         };
-        let registry = xpl_obs::Registry::new();
-        let r = run_serve_net_with(&cfg, &net, Some(&registry));
+        let registry = Registry::new();
+        let r = run_serve_net(&cfg, &net, Some(&registry));
         assert!(r.violations.is_empty(), "{:?}", r.violations);
         assert!(r.stats_probes >= 1, "no mid-storm probe landed");
         assert_eq!(
@@ -656,13 +628,36 @@ mod tests {
             r.stats_probe_fingerprint
         );
         // The registry saw both sides: CAS work (det) and wire traffic
-        // (wall), including the client/fault fold-in.
-        let json = registry.snapshot().render_json();
-        assert!(json.contains("\"cas.get.hits\""), "{json}");
-        assert!(json.contains("\"net.served\""), "{json}");
-        assert!(json.contains("\"net.stats.served\""), "{json}");
-        assert!(json.contains("\"net.client.served\""), "{json}");
-        assert!(json.contains("\"net.faults.resets\""), "{json}");
+        // (wall), and every counter field of the report is the
+        // registry's count of the same thing.
+        let snap = registry.snapshot();
+        assert!(snap.counter("cas.get.hits") > 0);
+        assert!(snap.counter("net.stats.served") > 0);
+        let fields = [
+            (r.served, "net.client.served"),
+            (r.retries, "net.client.retries"),
+            (r.reconnects, "net.client.reconnects"),
+            (r.overloads_seen, "net.client.overloads_seen"),
+            (r.srv_connections, "net.connections"),
+            (r.srv_served, "net.served"),
+            (r.srv_overloads, "net.overloads"),
+            (r.srv_evictions, "net.evictions"),
+            (r.srv_peer_closed, "net.peer_closed"),
+            (r.srv_drain_rejects, "net.drain_rejects"),
+            (r.srv_frame_errors, "net.frame_errors"),
+            (r.faults_resets, "net.faults.resets"),
+            (r.faults_torn_writes, "net.faults.torn_writes"),
+            (r.faults_short_reads, "net.faults.short_reads"),
+            (r.faults_delays, "net.faults.delays"),
+        ];
+        for (field, name) in fields {
+            assert_eq!(field, snap.counter(name), "{name}");
+        }
+        assert_eq!(r.served, 80);
+        assert!(
+            r.faults_resets + r.faults_short_reads > 0,
+            "the storm never fired"
+        );
     }
 
     #[test]
@@ -674,7 +669,7 @@ mod tests {
             net_seed: 0xBAD5EED,
             conns_per_tenant: 2,
         };
-        let r = run_serve_net(&cfg, &net);
+        let r = run_serve_net(&cfg, &net, None);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
         assert_eq!(r.wire_key_digests_sha256, r.key_digests_sha256);
         let injected =

@@ -70,21 +70,28 @@ impl Default for WireConfig {
     }
 }
 
-/// Atomic server-side accounting — every way a request or connection
-/// can end is counted somewhere, so "nothing silently lost" is
-/// checkable: `connections`, `served`, `overloads`, `drain_rejects`,
+/// Server-side accounting, counted straight into a metrics registry's
+/// `net.*` wall counters — every way a request or connection can end
+/// is counted somewhere, so "nothing silently lost" is checkable:
+/// `connections`, `served`, `overloads`, `drain_rejects`,
 /// `service_errors`, `evictions` (deadline), `peer_closed` (client
-/// vanished), `frame_errors` (protocol garbage).
-#[derive(Debug, Default)]
+/// vanished), `frame_errors` (protocol garbage); plus raw frame counts
+/// and `Stats`-request serves. All wall-section: connection lifetimes,
+/// deadline evictions and fault-triggered retries depend on real
+/// scheduling, so these counts are honest but not thread-count
+/// deterministic.
 pub struct ServerStats {
-    pub connections: AtomicU64,
-    pub served: AtomicU64,
-    pub overloads: AtomicU64,
-    pub drain_rejects: AtomicU64,
-    pub service_errors: AtomicU64,
-    pub evictions: AtomicU64,
-    pub peer_closed: AtomicU64,
-    pub frame_errors: AtomicU64,
+    connections: Arc<Counter>,
+    served: Arc<Counter>,
+    overloads: Arc<Counter>,
+    drain_rejects: Arc<Counter>,
+    service_errors: Arc<Counter>,
+    evictions: Arc<Counter>,
+    peer_closed: Arc<Counter>,
+    frame_errors: Arc<Counter>,
+    frames_in: Arc<Counter>,
+    frames_out: Arc<Counter>,
+    stats_served: Arc<Counter>,
 }
 
 /// Plain-number snapshot of [`ServerStats`].
@@ -100,45 +107,11 @@ pub struct ServerStatsSnapshot {
     pub frame_errors: u64,
 }
 
-/// Every way a request or connection can end — the one event vocabulary
-/// both [`ServerStats`] and the registry mirror count in.
-#[derive(Clone, Copy, Debug)]
-enum Event {
-    Connection,
-    Served,
-    Overload,
-    DrainReject,
-    ServiceError,
-    Eviction,
-    PeerClosed,
-    FrameError,
-}
-
-/// Registry-side mirror of the server's wire accounting, plus raw frame
-/// counts and `Stats`-request serves. All wall-section: connection
-/// lifetimes, deadline evictions and fault-triggered retries depend on
-/// real scheduling, so these counts are honest but not thread-count
-/// deterministic.
-pub struct ServerObs {
-    registry: Arc<Registry>,
-    connections: Arc<Counter>,
-    served: Arc<Counter>,
-    overloads: Arc<Counter>,
-    drain_rejects: Arc<Counter>,
-    service_errors: Arc<Counter>,
-    evictions: Arc<Counter>,
-    peer_closed: Arc<Counter>,
-    frame_errors: Arc<Counter>,
-    frames_in: Arc<Counter>,
-    frames_out: Arc<Counter>,
-    stats_served: Arc<Counter>,
-}
-
-impl ServerObs {
-    /// Resolve (or re-use) the `net.*` metric family in `reg`.
-    pub fn new(reg: &Arc<Registry>) -> Arc<ServerObs> {
+impl ServerStats {
+    /// Resolve (or re-use) the `net.*` counter family in `reg`.
+    pub fn new(reg: &Registry) -> ServerStats {
         let c = |name: &str| reg.counter(name, Section::Wall);
-        Arc::new(ServerObs {
+        ServerStats {
             connections: c("net.connections"),
             served: c("net.served"),
             overloads: c("net.overloads"),
@@ -150,62 +123,19 @@ impl ServerObs {
             frames_in: c("net.frames.in"),
             frames_out: c("net.frames.out"),
             stats_served: c("net.stats.served"),
-            registry: Arc::clone(reg),
-        })
-    }
-
-    /// The registry whose snapshot answers `Stats` wire requests.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
-    fn counter(&self, ev: Event) -> &Counter {
-        match ev {
-            Event::Connection => &self.connections,
-            Event::Served => &self.served,
-            Event::Overload => &self.overloads,
-            Event::DrainReject => &self.drain_rejects,
-            Event::ServiceError => &self.service_errors,
-            Event::Eviction => &self.evictions,
-            Event::PeerClosed => &self.peer_closed,
-            Event::FrameError => &self.frame_errors,
-        }
-    }
-}
-
-impl ServerStats {
-    fn field(&self, ev: Event) -> &AtomicU64 {
-        match ev {
-            Event::Connection => &self.connections,
-            Event::Served => &self.served,
-            Event::Overload => &self.overloads,
-            Event::DrainReject => &self.drain_rejects,
-            Event::ServiceError => &self.service_errors,
-            Event::Eviction => &self.evictions,
-            Event::PeerClosed => &self.peer_closed,
-            Event::FrameError => &self.frame_errors,
-        }
-    }
-
-    /// Count `ev` in the atomic field and, when attached, the registry
-    /// mirror — one call site per event, so the two can never skew.
-    fn count(&self, ev: Event, obs: Option<&ServerObs>) {
-        self.field(ev).fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = obs {
-            o.counter(ev).inc();
         }
     }
 
     pub fn snapshot(&self) -> ServerStatsSnapshot {
         ServerStatsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            served: self.served.load(Ordering::Relaxed),
-            overloads: self.overloads.load(Ordering::Relaxed),
-            drain_rejects: self.drain_rejects.load(Ordering::Relaxed),
-            service_errors: self.service_errors.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            peer_closed: self.peer_closed.load(Ordering::Relaxed),
-            frame_errors: self.frame_errors.load(Ordering::Relaxed),
+            connections: self.connections.get(),
+            served: self.served.get(),
+            overloads: self.overloads.get(),
+            drain_rejects: self.drain_rejects.get(),
+            service_errors: self.service_errors.get(),
+            evictions: self.evictions.get(),
+            peer_closed: self.peer_closed.get(),
+            frame_errors: self.frame_errors.get(),
         }
     }
 }
@@ -214,6 +144,8 @@ impl ServerStats {
 /// drain finishes it. Every exit path is typed and counted; nothing in
 /// here panics on peer misbehavior (a mid-response vanishing client
 /// surfaces as [`NetError::PeerClosed`] on the write and is counted).
+/// `stats_registry` answers [`FrameKind::Stats`] requests with its
+/// snapshot; `None` refuses them with a typed service error.
 pub fn serve_connection(
     mut t: Box<dyn Transport>,
     svc: &dyn WireService,
@@ -221,7 +153,7 @@ pub fn serve_connection(
     cfg: &WireConfig,
     draining: &AtomicBool,
     stats: &ServerStats,
-    obs: Option<&ServerObs>,
+    stats_registry: Option<&Registry>,
 ) {
     let _ = t.set_read_deadline(Some(cfg.read_deadline));
     let _ = t.set_write_deadline(Some(cfg.write_deadline));
@@ -229,29 +161,27 @@ pub fn serve_connection(
     // Handshake: the first frame must be Hello naming the tenant.
     let tenant = match read_frame(&mut *t, cfg.max_frame) {
         Ok(Some(f)) if f.kind == FrameKind::Hello && f.payload.len() == 4 => {
-            if let Some(o) = obs {
-                o.frames_in.inc();
-            }
+            stats.frames_in.inc();
             u32::from_le_bytes(f.payload[..4].try_into().unwrap())
         }
         Ok(None) => return, // connected and left: nothing lost
         Ok(Some(_)) => {
-            stats.count(Event::FrameError, obs);
+            stats.frame_errors.inc();
             t.shutdown();
             return;
         }
         Err(NetError::Timeout) => {
-            stats.count(Event::Eviction, obs);
+            stats.evictions.inc();
             t.shutdown();
             return;
         }
         Err(NetError::PeerClosed | NetError::Reset | NetError::Truncated { .. }) => {
-            stats.count(Event::PeerClosed, obs);
+            stats.peer_closed.inc();
             t.shutdown();
             return;
         }
         Err(_) => {
-            stats.count(Event::FrameError, obs);
+            stats.frame_errors.inc();
             t.shutdown();
             return;
         }
@@ -264,31 +194,29 @@ pub fn serve_connection(
             Err(NetError::Timeout) => {
                 // Slow-client eviction: stalled mid-request past the
                 // read deadline.
-                stats.count(Event::Eviction, obs);
+                stats.evictions.inc();
                 break;
             }
             Err(NetError::PeerClosed | NetError::Reset | NetError::Truncated { .. }) => {
-                stats.count(Event::PeerClosed, obs);
+                stats.peer_closed.inc();
                 break;
             }
             Err(_) => {
                 // Hostile header (oversized length, bad CRC, bad magic):
                 // rejected typed before any allocation; drop the link.
-                stats.count(Event::FrameError, obs);
+                stats.frame_errors.inc();
                 break;
             }
         };
-        if let Some(o) = obs {
-            o.frames_in.inc();
-        }
+        stats.frames_in.inc();
         if frame.kind != FrameKind::Request && frame.kind != FrameKind::Stats {
-            stats.count(Event::FrameError, obs);
+            stats.frame_errors.inc();
             break;
         }
         let (id, body) = match decode_request(&frame.payload) {
             Ok(x) => x,
             Err(_) => {
-                stats.count(Event::FrameError, obs);
+                stats.frame_errors.inc();
                 break;
             }
         };
@@ -297,26 +225,26 @@ pub fn serve_connection(
         // outside the admission gate: observability must keep working
         // exactly when the server is overloaded, faulting, or drained.
         if frame.kind == FrameKind::Stats {
-            let (status, reply) = match obs {
-                Some(o) => {
-                    o.stats_served.inc();
-                    (STATUS_OK, o.registry.snapshot().render_json().into_bytes())
+            let (status, reply) = match stats_registry {
+                Some(reg) => {
+                    stats.stats_served.inc();
+                    (STATUS_OK, reg.snapshot().render_json().into_bytes())
                 }
                 None => (STATUS_ERROR, b"no metrics registry attached".to_vec()),
             };
-            if !send_reply(&mut *t, stats, obs, id, status, &reply) {
+            if !send_reply(&mut *t, stats, id, status, &reply) {
                 break;
             }
             continue;
         }
 
         let (status, reply) = if draining.load(Ordering::Acquire) {
-            stats.count(Event::DrainReject, obs);
+            stats.drain_rejects.inc();
             (STATUS_DRAINING, b"server draining".to_vec())
         } else {
             match gate.try_admit(tenant) {
                 Err(over) => {
-                    stats.count(Event::Overload, obs);
+                    stats.overloads.inc();
                     (
                         STATUS_OVERLOAD,
                         format!("{} in flight", over.in_flight).into_bytes(),
@@ -324,18 +252,18 @@ pub fn serve_connection(
                 }
                 Ok(_permit) => match svc.call(tenant, body) {
                     Ok(bytes) => {
-                        stats.count(Event::Served, obs);
+                        stats.served.inc();
                         (STATUS_OK, bytes)
                     }
                     Err(msg) => {
-                        stats.count(Event::ServiceError, obs);
+                        stats.service_errors.inc();
                         (STATUS_ERROR, msg.into_bytes())
                     }
                 },
             }
         };
 
-        if !send_reply(&mut *t, stats, obs, id, status, &reply) {
+        if !send_reply(&mut *t, stats, id, status, &reply) {
             break;
         }
         if status == STATUS_DRAINING {
@@ -350,30 +278,27 @@ pub fn serve_connection(
 fn send_reply(
     t: &mut dyn Transport,
     stats: &ServerStats,
-    obs: Option<&ServerObs>,
     id: u64,
     status: u8,
     reply: &[u8],
 ) -> bool {
     match write_frame(t, FrameKind::Response, &encode_response(id, status, reply)) {
         Ok(()) => {
-            if let Some(o) = obs {
-                o.frames_out.inc();
-            }
+            stats.frames_out.inc();
             true
         }
         Err(NetError::PeerClosed | NetError::Reset) => {
             // The client died mid-response: typed, counted, never a
             // panic (SIGPIPE is ignored; EPIPE maps to PeerClosed).
-            stats.count(Event::PeerClosed, obs);
+            stats.peer_closed.inc();
             false
         }
         Err(NetError::Timeout) => {
-            stats.count(Event::Eviction, obs);
+            stats.evictions.inc();
             false
         }
         Err(_) => {
-            stats.count(Event::FrameError, obs);
+            stats.frame_errors.inc();
             false
         }
     }
@@ -402,9 +327,12 @@ impl NetServer {
         NetServer::bind_obs(addr, svc, cfg, None)
     }
 
-    /// [`NetServer::bind`] with a metrics registry: every connection
-    /// mirrors its accounting into `net.*` counters and answers
-    /// [`FrameKind::Stats`] requests with a registry snapshot.
+    /// [`NetServer::bind`] with a metrics registry. Server counters
+    /// always live in a registry: without one they go to a private
+    /// registry and [`FrameKind::Stats`] requests are refused; with
+    /// one, the `net.*` counters are resolved there and `Stats`
+    /// requests are answered with its snapshot. Servers bound to one
+    /// registry share its `net.*` counts.
     pub fn bind_obs(
         addr: &str,
         svc: Arc<dyn WireService>,
@@ -415,10 +343,11 @@ impl NetServer {
         let addr = listener.local_addr().map_err(NetError::from_io)?;
         let stopped = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(ServerStats::default());
+        let counted = registry.cloned().unwrap_or_else(Registry::new);
+        let stats = Arc::new(ServerStats::new(&counted));
+        let exposed = registry.cloned();
         let gate = Arc::new(AdmissionGate::new(cfg.queue_depth));
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let obs: Option<Arc<ServerObs>> = registry.map(ServerObs::new);
 
         let accept = {
             let (stopped, draining, stats, conns) = (
@@ -435,13 +364,13 @@ impl NetServer {
                             break;
                         }
                         let Ok(stream) = stream else { continue };
-                        stats.count(Event::Connection, obs.as_deref());
-                        let (svc, gate, draining, stats, obs) = (
+                        stats.connections.inc();
+                        let (svc, gate, draining, stats, exposed) = (
                             svc.clone(),
                             gate.clone(),
                             draining.clone(),
                             stats.clone(),
-                            obs.clone(),
+                            exposed.clone(),
                         );
                         let handle = std::thread::Builder::new()
                             .name("xpl-net-conn".into())
@@ -453,7 +382,7 @@ impl NetServer {
                                     &cfg,
                                     &draining,
                                     &stats,
-                                    obs.as_deref(),
+                                    exposed.as_deref(),
                                 );
                             })
                             .expect("spawn connection thread");
@@ -526,7 +455,7 @@ pub struct MemHost {
     fault_stats: Arc<FaultStats>,
     conns: Mutex<Vec<JoinHandle<()>>>,
     next_conn: AtomicU64,
-    obs: Option<Arc<ServerObs>>,
+    exposed: Option<Arc<Registry>>,
 }
 
 impl MemHost {
@@ -534,26 +463,29 @@ impl MemHost {
         MemHost::new_obs(svc, cfg, faults, None)
     }
 
-    /// [`MemHost::new`] with a metrics registry: connections mirror
-    /// their accounting into `net.*` counters and answer
-    /// [`FrameKind::Stats`] requests with a registry snapshot.
+    /// [`MemHost::new`] with a metrics registry, exactly as
+    /// [`NetServer::bind_obs`]: the `net.*` counters — injected-fault
+    /// counts included — live in the registry, `Stats` requests are
+    /// answered with its snapshot, and hosts sharing one registry
+    /// share its counts.
     pub fn new_obs(
         svc: Arc<dyn WireService>,
         cfg: WireConfig,
         faults: FaultConfig,
         registry: Option<&Arc<Registry>>,
     ) -> MemHost {
+        let counted = registry.cloned().unwrap_or_else(Registry::new);
         MemHost {
             svc,
             gate: Arc::new(AdmissionGate::new(cfg.queue_depth)),
             cfg,
             draining: Arc::new(AtomicBool::new(false)),
-            stats: Arc::new(ServerStats::default()),
+            stats: Arc::new(ServerStats::new(&counted)),
             faults,
-            fault_stats: Arc::new(FaultStats::default()),
+            fault_stats: Arc::new(FaultStats::new(&counted)),
             conns: Mutex::new(Vec::new()),
             next_conn: AtomicU64::new(0),
-            obs: registry.map(ServerObs::new),
+            exposed: registry.cloned(),
         }
     }
 
@@ -581,14 +513,14 @@ impl MemHost {
                 self.fault_stats.clone(),
             ))
         };
-        self.stats.count(Event::Connection, self.obs.as_deref());
-        let (svc, gate, cfg, draining, stats, obs) = (
+        self.stats.connections.inc();
+        let (svc, gate, cfg, draining, stats, exposed) = (
             self.svc.clone(),
             self.gate.clone(),
             self.cfg,
             self.draining.clone(),
             self.stats.clone(),
-            self.obs.clone(),
+            self.exposed.clone(),
         );
         let handle = std::thread::Builder::new()
             .name(format!("xpl-net-mem-{id}"))
@@ -600,7 +532,7 @@ impl MemHost {
                     &cfg,
                     &draining,
                     &stats,
-                    obs.as_deref(),
+                    exposed.as_deref(),
                 )
             })
             .expect("spawn mem connection thread");

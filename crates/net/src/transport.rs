@@ -15,6 +15,7 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+use xpl_obs::{Counter, Registry, Section};
 use xpl_util::SplitMix64;
 
 /// A bidirectional byte stream with deadlines. All errors are typed;
@@ -289,18 +290,27 @@ impl FaultConfig {
     }
 }
 
-/// Counters for injected faults, shared across connections.
+/// Counters for injected faults, shared across connections: a host's
+/// `net.faults.*` wall counters, or private ones (`Default`) for a
+/// standalone [`FaultTransport`].
 #[derive(Debug, Default)]
 pub struct FaultStats {
-    pub resets: std::sync::atomic::AtomicU64,
-    pub torn_writes: std::sync::atomic::AtomicU64,
-    pub short_reads: std::sync::atomic::AtomicU64,
-    pub delays: std::sync::atomic::AtomicU64,
+    pub resets: Arc<Counter>,
+    pub torn_writes: Arc<Counter>,
+    pub short_reads: Arc<Counter>,
+    pub delays: Arc<Counter>,
 }
 
 impl FaultStats {
-    fn bump(counter: &std::sync::atomic::AtomicU64) {
-        counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    /// Resolve (or re-use) the `net.faults.*` counters in `reg`.
+    pub fn new(reg: &Registry) -> FaultStats {
+        let c = |name: &str| reg.counter(name, Section::Wall);
+        FaultStats {
+            resets: c("net.faults.resets"),
+            torn_writes: c("net.faults.torn_writes"),
+            short_reads: c("net.faults.short_reads"),
+            delays: c("net.faults.delays"),
+        }
     }
 }
 
@@ -346,7 +356,7 @@ impl FaultTransport {
     fn maybe_delay(&mut self) {
         if self.roll(self.cfg.delay_per_256) && self.cfg.delay_max_ns > 0 {
             let ns = self.rng.next_below(self.cfg.delay_max_ns);
-            FaultStats::bump(&self.stats.delays);
+            self.stats.delays.inc();
             std::thread::sleep(Duration::from_nanos(ns));
         }
     }
@@ -365,7 +375,7 @@ impl Transport for FaultTransport {
         self.burst_rolled = false;
         self.maybe_delay();
         if self.roll(self.cfg.reset_per_256) {
-            FaultStats::bump(&self.stats.resets);
+            self.stats.resets.inc();
             self.die();
             return Err(NetError::Reset);
         }
@@ -373,7 +383,7 @@ impl Transport for FaultTransport {
             // A prefix reaches the peer (who will see a truncated
             // frame), then the connection dies under the writer.
             let cut = 1 + self.rng.next_below(bytes.len() as u64 - 1) as usize;
-            FaultStats::bump(&self.stats.torn_writes);
+            self.stats.torn_writes.inc();
             let _ = self.inner.send(&bytes[..cut]);
             self.die();
             return Err(NetError::Reset);
@@ -389,13 +399,13 @@ impl Transport for FaultTransport {
         if !self.burst_rolled {
             self.burst_rolled = true;
             if self.roll(self.cfg.reset_per_256) {
-                FaultStats::bump(&self.stats.resets);
+                self.stats.resets.inc();
                 self.die();
                 return Err(NetError::Reset);
             }
         }
         if self.roll(self.cfg.short_read_per_256) && buf.len() > 1 {
-            FaultStats::bump(&self.stats.short_reads);
+            self.stats.short_reads.inc();
             return self.inner.recv(&mut buf[..1]);
         }
         self.inner.recv(buf)
@@ -462,10 +472,7 @@ mod tests {
         let mut faulty = FaultTransport::new(Box::new(a), cfg, "conn-0", stats.clone());
         let err = write_frame(&mut faulty, FrameKind::Request, b"payload-that-tears").unwrap_err();
         assert_eq!(err, NetError::Reset);
-        assert_eq!(
-            stats.torn_writes.load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+        assert_eq!(stats.torn_writes.get(), 1);
         // The peer sees a truncated frame (typed), never a panic.
         let got = read_frame(&mut b, DEFAULT_MAX_FRAME);
         assert!(
@@ -503,6 +510,6 @@ mod tests {
         let mut reader = FaultTransport::new(Box::new(b), cfg, "c", stats.clone());
         let f = read_frame(&mut reader, DEFAULT_MAX_FRAME).unwrap().unwrap();
         assert_eq!(f.payload, b"byte-at-a-time");
-        assert!(stats.short_reads.load(std::sync::atomic::Ordering::Relaxed) > 0);
+        assert!(stats.short_reads.get() > 0);
     }
 }

@@ -441,9 +441,7 @@ fn fault_storm_converges_with_nothing_lost() {
     assert_eq!(served, 160, "{stats:?}");
 
     let faults = host.fault_stats();
-    let injected = faults.resets.load(Ordering::Relaxed)
-        + faults.torn_writes.load(Ordering::Relaxed)
-        + faults.short_reads.load(Ordering::Relaxed);
+    let injected = faults.resets.get() + faults.torn_writes.get() + faults.short_reads.get();
     assert!(injected > 0, "the storm never fired");
     assert!(
         retries > 0,
@@ -497,7 +495,25 @@ fn stats_frame_roundtrips_and_survives_drain() {
     assert_eq!(fp2.len(), 64);
 
     client.close();
-    host.drain();
+    let srv = host.drain();
+
+    // One source of truth: the drained accounting is the registry's
+    // `net.*` counters, field for field.
+    let snap = registry.snapshot();
+    let counters = [
+        (srv.connections, "net.connections"),
+        (srv.served, "net.served"),
+        (srv.overloads, "net.overloads"),
+        (srv.drain_rejects, "net.drain_rejects"),
+        (srv.service_errors, "net.service_errors"),
+        (srv.evictions, "net.evictions"),
+        (srv.peer_closed, "net.peer_closed"),
+        (srv.frame_errors, "net.frame_errors"),
+    ];
+    for (field, name) in counters {
+        assert_eq!(field, snap.counter(name), "{name}");
+    }
+    assert_eq!((srv.served, srv.drain_rejects), (1, 1), "{srv:?}");
 }
 
 #[test]

@@ -19,15 +19,12 @@
 //!    branch, and a run without a registry is byte-identical to a run
 //!    with one — observability is zero-interference by construction.
 //!
-//! Snapshots render three ways: canonical sorted JSON (with an
-//! embedded SHA-256 `det_fingerprint` over the deterministic section),
-//! a Prometheus-style text exposition, and — for traces — an
-//! aggregated span tree ([`render_tree`]) keyed by name with per-phase
-//! totals, which is what `repro profile` prints.
+//! Snapshots render as canonical sorted JSON with an embedded SHA-256
+//! `det_fingerprint` over the deterministic section.
 //!
-//! The [`Clock`] seam decouples span timing from the host:
-//! [`WallClock`] for real runs, [`ManualClock`] for the virtual-time
-//! DES and tests.
+//! Spans go into a bounded [`TraceRing`] with parent/child edges. The
+//! [`Clock`] seam decouples span timing from the host: [`WallClock`]
+//! for real runs, [`ManualClock`] for the virtual-time DES and tests.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,7 +121,7 @@ pub fn bucket_index(v: u64) -> usize {
     }
 }
 
-/// Inclusive upper bound of a bucket (the Prometheus `le` label).
+/// Inclusive upper bound of a bucket.
 pub fn bucket_upper_bound(idx: usize) -> u64 {
     if idx >= 64 {
         u64::MAX
@@ -416,52 +413,13 @@ impl Snapshot {
         )
     }
 
-    /// Prometheus-style text exposition: dots become underscores, an
-    /// `xpl_` prefix, a `section` label, histograms as cumulative `le`
-    /// buckets.
-    pub fn render_text(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        for (name, s, v) in &self.counters {
-            let flat = name.replace(['.', '-'], "_");
-            out.push_str(&format!("# TYPE xpl_{flat} counter\n"));
-            out.push_str(&format!("xpl_{flat}{{section=\"{}\"}} {v}\n", s.name()));
-        }
-        for (name, s, v) in &self.gauges {
-            let flat = name.replace(['.', '-'], "_");
-            out.push_str(&format!("# TYPE xpl_{flat} gauge\n"));
-            out.push_str(&format!("xpl_{flat}{{section=\"{}\"}} {v}\n", s.name()));
-        }
-        for (name, s, h) in &self.histograms {
-            let flat = name.replace(['.', '-'], "_");
-            out.push_str(&format!("# TYPE xpl_{flat} histogram\n"));
-            let mut cum = 0u64;
-            for (i, &c) in h.buckets.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                cum += c;
-                out.push_str(&format!(
-                    "xpl_{flat}_bucket{{section=\"{}\",le=\"{}\"}} {cum}\n",
-                    s.name(),
-                    bucket_upper_bound(i)
-                ));
-            }
-            out.push_str(&format!(
-                "xpl_{flat}_bucket{{section=\"{}\",le=\"+Inf\"}} {cum}\n",
-                s.name()
-            ));
-            out.push_str(&format!(
-                "xpl_{flat}_sum{{section=\"{}\"}} {}\n",
-                s.name(),
-                h.sum
-            ));
-            out.push_str(&format!(
-                "xpl_{flat}_count{{section=\"{}\"}} {}\n",
-                s.name(),
-                h.count()
-            ));
-        }
-        out
+    /// The value of counter `name`, or 0 when it was never registered
+    /// (an absent counter has counted nothing).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .iter()
+            .find(|(n, _, _)| n == name)
+            .map_or(0, |&(_, _, v)| v)
     }
 }
 
@@ -647,101 +605,6 @@ impl Drop for SpanGuard {
     }
 }
 
-// ----------------------------------------------------- span aggregation
-
-/// One node of the aggregated span tree: spans grouped by name under
-/// their parents' group, with total time and invocation count.
-#[derive(Clone, Debug)]
-pub struct AggSpan {
-    pub name: String,
-    pub count: u64,
-    pub total_ns: u64,
-    pub children: Vec<AggSpan>,
-}
-
-fn aggregate_level(
-    spans: &[SpanRecord],
-    by_parent: &BTreeMap<Option<u64>, Vec<usize>>,
-    parents: &[usize],
-) -> Vec<AggSpan> {
-    // Group this level's children (children of ANY span in `parents`,
-    // or the roots when `parents` is empty) by name, in
-    // first-appearance order.
-    let child_idxs: Vec<usize> = if parents.is_empty() {
-        by_parent.get(&None).cloned().unwrap_or_default()
-    } else {
-        let mut v: Vec<usize> = Vec::new();
-        for &p in parents {
-            if let Some(kids) = by_parent.get(&Some(spans[p].id)) {
-                v.extend_from_slice(kids);
-            }
-        }
-        v.sort_unstable();
-        v
-    };
-    let mut order: Vec<&str> = Vec::new();
-    let mut groups: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for &i in &child_idxs {
-        let name = spans[i].name.as_str();
-        groups
-            .entry(name)
-            .or_insert_with(|| {
-                order.push(name);
-                Vec::new()
-            })
-            .push(i);
-    }
-    order
-        .iter()
-        .map(|name| {
-            let idxs = &groups[name];
-            AggSpan {
-                name: name.to_string(),
-                count: idxs.len() as u64,
-                total_ns: idxs.iter().map(|&i| spans[i].duration_ns()).sum(),
-                children: aggregate_level(spans, by_parent, idxs),
-            }
-        })
-        .collect()
-}
-
-/// Aggregate completed spans into a name-grouped tree (first-appearance
-/// order at every level).
-pub fn aggregate_spans(spans: &[SpanRecord]) -> Vec<AggSpan> {
-    let mut by_parent: BTreeMap<Option<u64>, Vec<usize>> = BTreeMap::new();
-    let ids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.id).collect();
-    for (i, s) in spans.iter().enumerate() {
-        // A parent that was evicted from the ring (or never ended)
-        // promotes its children to roots rather than dropping them.
-        let key = match s.parent {
-            Some(p) if ids.contains(&p) => Some(p),
-            _ => None,
-        };
-        by_parent.entry(key).or_default().push(i);
-    }
-    aggregate_level(spans, &by_parent, &[])
-}
-
-fn render_agg(out: &mut String, nodes: &[AggSpan], depth: usize) {
-    for n in nodes {
-        let label = format!("{:indent$}{}", "", n.name, indent = depth * 2);
-        out.push_str(&format!(
-            "{label:<28} total {:>10.3} ms  count {:>6}\n",
-            n.total_ns as f64 / 1e6,
-            n.count
-        ));
-        render_agg(out, &n.children, depth + 1);
-    }
-}
-
-/// Render the aggregated span tree as indented text with per-phase
-/// totals — the `repro profile` output.
-pub fn render_tree(spans: &[SpanRecord]) -> String {
-    let mut out = String::new();
-    render_agg(&mut out, &aggregate_spans(spans), 0);
-    out
-}
-
 // ------------------------------------------------- attachment pattern
 
 /// The shim instrumented structs embed: a `OnceLock` around an
@@ -818,30 +681,13 @@ mod tests {
     }
 
     #[test]
-    fn text_exposition_is_cumulative() {
-        let reg = Registry::new();
-        let h = reg.histogram("lat", Section::Wall);
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        let text = reg.snapshot().render_text();
-        assert!(text.contains("xpl_lat_bucket{section=\"wall\",le=\"0\"} 1"));
-        assert!(text.contains("xpl_lat_bucket{section=\"wall\",le=\"1\"} 2"));
-        assert!(text.contains("xpl_lat_bucket{section=\"wall\",le=\"3\"} 4"));
-        assert!(text.contains("xpl_lat_bucket{section=\"wall\",le=\"+Inf\"} 4"));
-        assert!(text.contains("xpl_lat_count{section=\"wall\"} 4"));
-        assert!(text.contains("xpl_lat_sum{section=\"wall\"} 6"));
-    }
-
-    #[test]
     #[should_panic(expected = "invalid metric name")]
     fn bad_names_are_rejected() {
         Registry::new().counter("Bad Name!", Section::Det);
     }
 
     #[test]
-    fn spans_nest_and_aggregate() {
+    fn spans_nest_with_parent_ids_and_clock_durations() {
         let clock = Arc::new(ManualClock::new());
         let ring = TraceRing::new(1024, clock.clone() as Arc<dyn Clock>);
         for _ in 0..3 {
@@ -858,26 +704,19 @@ mod tests {
         }
         let spans = ring.completed();
         assert_eq!(spans.len(), 9);
-        let agg = aggregate_spans(&spans);
-        assert_eq!(agg.len(), 1);
-        assert_eq!(agg[0].name, "publish");
-        assert_eq!(agg[0].count, 3);
-        assert_eq!(agg[0].total_ns, 3 * 45);
-        assert_eq!(agg[0].children.len(), 2);
-        assert_eq!(agg[0].children[0].name, "chunk");
-        assert_eq!(agg[0].children[0].total_ns, 30);
-        assert_eq!(agg[0].children[1].name, "compress");
-        assert_eq!(agg[0].children[1].total_ns, 90);
-        // Children never exceed their parent.
-        let kids: u64 = agg[0].children.iter().map(|c| c.total_ns).sum();
-        assert!(kids <= agg[0].total_ns);
-        let text = render_tree(&spans);
-        assert!(text.contains("publish"));
-        assert!(text.contains("  chunk"));
+        // Children end (and land in the ring) before their parent.
+        let (chunk, compress, publish) = (&spans[0], &spans[1], &spans[2]);
+        assert_eq!(publish.name, "publish");
+        assert_eq!(publish.parent, None);
+        assert_eq!(chunk.parent, Some(publish.id));
+        assert_eq!(compress.parent, Some(publish.id));
+        assert_eq!(chunk.duration_ns(), 10);
+        assert_eq!(compress.duration_ns(), 30);
+        assert_eq!(publish.duration_ns(), 45);
     }
 
     #[test]
-    fn ring_evicts_oldest_and_promotes_orphans() {
+    fn ring_evicts_oldest_and_ignores_unknown_ends() {
         let clock = Arc::new(ManualClock::new());
         let ring = TraceRing::new(2, clock.clone() as Arc<dyn Clock>);
         let root = ring.begin("root", None);
@@ -887,12 +726,10 @@ mod tests {
         ring.end(a);
         ring.end(b);
         ring.end(root); // evicts "a" (cap 2)
-        let spans = ring.completed();
-        assert_eq!(spans.len(), 2);
-        let agg = aggregate_spans(&spans);
-        // "b" lost its parent? No — root survived; "a" was evicted.
-        assert!(agg.iter().any(|n| n.name == "root"));
         ring.end(9999); // unknown id: ignored
+        ring.end(b); // double end: ignored
+        let names: Vec<String> = ring.completed().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["b", "root"]);
     }
 
     proptest! {

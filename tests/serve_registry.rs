@@ -53,7 +53,7 @@ fn serve_report_is_byte_identical_across_thread_counts() {
     let cfg = small_cfg(0xC0FFEE);
     let runs: Vec<ServeReport> = [1usize, 2, 8]
         .iter()
-        .map(|&t| rayon::with_num_threads(t, || run_serve(&cfg)))
+        .map(|&t| rayon::with_num_threads(t, || run_serve(&cfg, None)))
         .collect();
     for r in &runs {
         assert!(r.violations.is_empty(), "oracle: {:?}", r.violations);
@@ -76,9 +76,9 @@ fn serve_report_is_byte_identical_across_thread_counts() {
 #[test]
 fn coalesced_and_uncoalesced_runs_serve_identical_bytes() {
     let mut cfg = small_cfg(0xFA1);
-    let on = run_serve(&cfg);
+    let on = run_serve(&cfg, None);
     cfg.coalesce = false;
-    let off = run_serve(&cfg);
+    let off = run_serve(&cfg, None);
 
     // The saturated Zipf load must actually trigger coalescing, and it
     // must save store hits.
@@ -106,7 +106,7 @@ fn overload_rejections_are_typed_and_accounted() {
     let mut cfg = small_cfg(0xBEEF);
     cfg.servers = 1;
     cfg.queue_depth = 2;
-    let r = run_serve(&cfg);
+    let r = run_serve(&cfg, None);
     assert!(
         r.rejected > 0,
         "a depth-2 queue over one server must overload under saturation"
@@ -122,7 +122,7 @@ fn overload_rejections_are_typed_and_accounted() {
     }
     // Rejections cost no store work and appear in the fingerprinted log.
     assert!(r.violations.is_empty(), "{:?}", r.violations);
-    let rerun = run_serve(&cfg);
+    let rerun = run_serve(&cfg, None);
     assert_eq!(r.request_log_sha256, rerun.request_log_sha256);
     assert_eq!(r.rejected, rerun.rejected);
 }
@@ -130,14 +130,14 @@ fn overload_rejections_are_typed_and_accounted() {
 #[test]
 fn wire_serve_matches_in_process_digest_table() {
     let cfg = small_cfg(0x41E7);
-    let in_process = run_serve(&cfg);
+    let in_process = run_serve(&cfg, None);
     let net = NetServeConfig {
         transport: NetTransportKind::Mem,
         fault_rate: 0,
         net_seed: 1,
         conns_per_tenant: 2,
     };
-    let wire = run_serve_net(&cfg, &net);
+    let wire = run_serve_net(&cfg, &net, None);
     assert!(wire.violations.is_empty(), "{:?}", wire.violations);
     assert_eq!(wire.served, cfg.requests as u64);
     assert_eq!(wire.key_digests_sha256, in_process.key_digests_sha256);
@@ -157,8 +157,8 @@ fn wire_serve_survives_a_fault_storm_byte_identically() {
         fault_rate: 32,
         ..clean
     };
-    let a = run_serve_net(&cfg, &clean);
-    let b = run_serve_net(&cfg, &stormy);
+    let a = run_serve_net(&cfg, &clean, None);
+    let b = run_serve_net(&cfg, &stormy, None);
     assert!(a.violations.is_empty(), "clean: {:?}", a.violations);
     assert!(b.violations.is_empty(), "storm: {:?}", b.violations);
     assert_eq!(b.wire_key_digests_sha256, a.wire_key_digests_sha256);
