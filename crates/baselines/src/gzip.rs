@@ -3,14 +3,12 @@
 //! Compression is *real* (our DEFLATE over the actual image stream), so
 //! Figure 3's Gzip ratios come out of the compressor, not a constant.
 //!
-//! New publishes store the *blocked* container (`xpl_compress::blocked`):
-//! independently-deflated 64 KiB blocks plus a CRC-checked index, which
+//! Every member is a *blocked* container (`xpl_compress::blocked`):
+//! independently-compressed 64 KiB blocks plus a CRC-checked index, which
 //! makes decompression parallel and lets [`ImageStore::retrieve_range`]
 //! serve a disk byte range by inflating only the blocks the range's
-//! clusters live in. Entries written by older versions as single-stream
-//! gzip stay readable — the retrieve path dispatches on the container
-//! magic ([`xpl_compress::decompress_auto`]), and legacy entries fall
-//! back to full-inflate slicing for range reads.
+//! clusters live in. A member that does not parse as a container is
+//! corrupt, on every read path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -30,8 +28,7 @@ use xpl_util::FxHashMap;
 struct Entry {
     compressed: Vec<u8>,
     raw_len: u64,
-    /// Inner codec of the blocked member (stale for entries rewritten by
-    /// the legacy test hook; harmless — maintenance just re-encodes).
+    /// Inner codec of the blocked member.
     codec: InnerCodec,
     /// Retrievals since the last maintenance sweep.
     reads: AtomicU64,
@@ -92,22 +89,12 @@ impl GzipStore {
         c as f64 / r as f64
     }
 
+    /// Test hook: flip one bit of a stored member at `offset`.
     #[cfg(test)]
-    fn corrupt_for_test(&self, name: &str) {
+    fn corrupt_for_test(&self, name: &str, offset: usize) {
         let mut images = self.images.write().unwrap();
         let entry = images.get_mut(name).unwrap();
-        let mid = entry.compressed.len() / 2;
-        entry.compressed[mid] ^= 0x40;
-    }
-
-    /// Test hook: rewrite an entry as the legacy single-stream gzip
-    /// format older repositories hold, to pin backward compatibility.
-    #[cfg(test)]
-    fn downgrade_to_legacy_for_test(&self, name: &str) {
-        let mut images = self.images.write().unwrap();
-        let entry = images.get_mut(name).unwrap();
-        let raw = xpl_compress::decompress_auto(&entry.compressed).unwrap();
-        entry.compressed = xpl_compress::gzip_compress_parallel(&raw);
+        entry.compressed[offset] ^= 0x40;
     }
 }
 
@@ -137,7 +124,7 @@ impl ImageStore for GzipStore {
                 costs::gzip_compress_per_byte(),
                 raw.len() as u64,
             ));
-            xpl_compress::blocked_compress_inner(&raw, xpl_compress::DEFAULT_BLOCK_SIZE, codec)
+            xpl_compress::blocked_compress(&raw, xpl_compress::DEFAULT_BLOCK_SIZE, codec)
         });
         report.breakdown.measure(&self.env.clock, "upload", || {
             self.env
@@ -189,7 +176,7 @@ impl ImageStore for GzipStore {
                     costs::gzip_decompress_per_byte(),
                     entry.raw_len,
                 ));
-                xpl_compress::decompress_auto(&entry.compressed)
+                xpl_compress::blocked_decompress_parallel(&entry.compressed)
                     .map_err(|e| StoreError::Corrupt(format!("codec: {e}")))
             })?;
         // Verify the decompressed stream is the image we stored.
@@ -205,7 +192,7 @@ impl ImageStore for GzipStore {
 
     fn retrieve_range(
         &self,
-        catalog: &Catalog,
+        _catalog: &Catalog,
         request: &RetrieveRequest,
         start: u64,
         len: u64,
@@ -215,20 +202,6 @@ impl ImageStore for GzipStore {
         let entry = images
             .get(&request.name)
             .ok_or_else(|| StoreError::NotFound(request.name.clone()))?;
-        if !xpl_compress::is_blocked(&entry.compressed) {
-            // Legacy single-stream member: no seekability. Pay the full
-            // retrieval (decompress everything) and slice the disk.
-            drop(images);
-            let (vmi, report) = self.retrieve(catalog, request)?;
-            let size = vmi.disk.virtual_size();
-            let end = start.saturating_add(len).min(size);
-            let start = start.min(end);
-            let bytes = vmi
-                .disk
-                .read_at(start, (end - start) as usize)
-                .map_err(|e| StoreError::Corrupt(format!("range read: {e}")))?;
-            return Ok((bytes, report));
-        }
         entry.reads.fetch_add(1, Ordering::Relaxed);
         let mut report = RetrieveReport {
             image: request.name.clone(),
@@ -313,7 +286,7 @@ impl ImageStore for GzipStore {
                 // Re-encode the member; the uncompressed stream is pinned
                 // byte-identical (length-checked here, content via the
                 // deep audit's inflate sweep).
-                if let Ok(raw) = xpl_compress::decompress_auto(&entry.compressed) {
+                if let Ok(raw) = xpl_compress::blocked_decompress_parallel(&entry.compressed) {
                     if raw.len() as u64 == entry.raw_len {
                         self.env.local.charge_fixed(costs::scaled(
                             costs::gzip_decompress_per_byte(),
@@ -324,7 +297,7 @@ impl ImageStore for GzipStore {
                             entry.raw_len,
                         ));
                         self.env.repo.charge_db_write(1);
-                        let recoded = xpl_compress::blocked_compress_inner(
+                        let recoded = xpl_compress::blocked_compress(
                             &raw,
                             xpl_compress::DEFAULT_BLOCK_SIZE,
                             target,
@@ -357,11 +330,10 @@ impl ImageStore for GzipStore {
 
     fn check_integrity_deep(&self) -> Result<(), String> {
         self.check_integrity()?;
-        // Full sweep: every member must inflate (per-block CRCs for
-        // blocked containers, trailer CRC for legacy gzip) to exactly
-        // the byte count recorded at publish time.
+        // Full sweep: every member must inflate (per-block CRCs) to
+        // exactly the byte count recorded at publish time.
         for (name, e) in self.images.read().unwrap().iter() {
-            let raw = xpl_compress::decompress_auto(&e.compressed)
+            let raw = xpl_compress::blocked_decompress_parallel(&e.compressed)
                 .map_err(|err| format!("{name}: {err}"))?;
             if raw.len() as u64 != e.raw_len {
                 return Err(format!(
@@ -457,25 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_gzip_entries_stay_readable() {
-        let w = World::small();
-        let gz = GzipStore::new(w.env());
-        let redis = w.build_image("redis");
-        gz.publish(&w.catalog, &redis).unwrap();
-        gz.downgrade_to_legacy_for_test("redis");
-        gz.check_integrity_deep().unwrap();
-        let req = xpl_store::RetrieveRequest::for_image(&redis, &w.catalog);
-        let (got, _) = gz.retrieve(&w.catalog, &req).unwrap();
-        assert_eq!(
-            got.installed_package_set(&w.catalog),
-            redis.installed_package_set(&w.catalog)
-        );
-        // Range reads on legacy entries fall back to full-inflate slicing.
-        let (bytes, _) = gz.retrieve_range(&w.catalog, &req, 0, 600).unwrap();
-        assert_eq!(bytes, got.disk.read_at(0, 600).unwrap());
-    }
-
-    #[test]
     fn maintain_promotes_hot_members_and_reports_the_size_shift() {
         let w = World::small();
         let gz = GzipStore::new(w.env()); // default mixed tier
@@ -520,7 +473,7 @@ mod tests {
         let gz = GzipStore::new(w.env());
         gz.publish(&w.catalog, &w.build_image("mini")).unwrap();
         gz.check_integrity_deep().unwrap();
-        gz.corrupt_for_test("mini");
+        gz.corrupt_for_test("mini", gz.repo_bytes() as usize / 2);
         assert!(gz.check_integrity_deep().is_err());
     }
 
@@ -529,12 +482,23 @@ mod tests {
         let w = World::small();
         let gz = GzipStore::new(w.env());
         let redis = w.build_image("redis");
-        gz.publish(&w.catalog, &redis).unwrap();
-        // Corrupt the stored member.
-        gz.corrupt_for_test("redis");
         let req = xpl_store::RetrieveRequest::for_image(&redis, &w.catalog);
+        // A flip mid-member (block data) and at byte 0 (the container
+        // magic): both read paths must report the member corrupt.
+        gz.publish(&w.catalog, &redis).unwrap();
+        gz.corrupt_for_test("redis", gz.repo_bytes() as usize / 2);
         assert!(matches!(
             gz.retrieve(&w.catalog, &req),
+            Err(StoreError::Corrupt(_))
+        ));
+        gz.publish(&w.catalog, &redis).unwrap();
+        gz.corrupt_for_test("redis", 0);
+        assert!(matches!(
+            gz.retrieve(&w.catalog, &req),
+            Err(StoreError::Corrupt(_))
+        ));
+        assert!(matches!(
+            gz.retrieve_range(&w.catalog, &req, 0, 600),
             Err(StoreError::Corrupt(_))
         ));
     }

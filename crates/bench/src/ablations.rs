@@ -15,7 +15,7 @@ use crate::microbench::time_median;
 use serde::Serialize;
 use xpl_baselines::{CdcDedupStore, FixedBlockDedupStore};
 use xpl_compress::{
-    blocked_compress_inner, decompress_auto, read_range, InnerCodec, DEFAULT_BLOCK_SIZE,
+    blocked_compress, blocked_decompress_parallel, read_range, InnerCodec, DEFAULT_BLOCK_SIZE,
 };
 use xpl_semgraph::{sim_g, MasterGraph, SemanticGraph};
 use xpl_store::ImageStore;
@@ -165,9 +165,9 @@ pub fn codec_ablation_sweep(payload_len: usize, budget_s: f64) -> Vec<CodecAblat
     });
 
     for codec in [InnerCodec::Deflate, InnerCodec::Lz4] {
-        let encoded = blocked_compress_inner(&data, DEFAULT_BLOCK_SIZE, codec);
+        let encoded = blocked_compress(&data, DEFAULT_BLOCK_SIZE, codec);
         assert_eq!(
-            decompress_auto(&encoded).expect("container decodes"),
+            blocked_decompress_parallel(&encoded).expect("container decodes"),
             data,
             "{} round trip",
             codec.name()
@@ -179,10 +179,10 @@ pub fn codec_ablation_sweep(payload_len: usize, budget_s: f64) -> Vec<CodecAblat
             codec.name()
         );
         let (_, t_enc) = time_median(budget_s, || {
-            std::hint::black_box(blocked_compress_inner(&data, DEFAULT_BLOCK_SIZE, codec));
+            std::hint::black_box(blocked_compress(&data, DEFAULT_BLOCK_SIZE, codec));
         });
         let (_, t_dec) = time_median(budget_s, || {
-            std::hint::black_box(decompress_auto(&encoded).expect("container decodes"));
+            std::hint::black_box(blocked_decompress_parallel(&encoded).expect("container decodes"));
         });
         let (_, t_rng) = time_median(budget_s, || {
             std::hint::black_box(read_range(&encoded, range_start, range_len).expect("range"));

@@ -19,9 +19,9 @@ use std::sync::Arc;
 use std::time::Instant;
 use xpl_chunking::rabin::{chunk_cdc, CdcParams};
 use xpl_compress::{
-    blocked_compress, blocked_compress_inner, blocked_decompress_parallel, deflate,
-    gzip_compress_parallel, gzip_decompress, inflate, lz4_compress, lz4_decompress, read_range,
-    BlockIndex, BlockedReader, InnerCodec, DEFAULT_BLOCK_SIZE,
+    blocked_compress, blocked_decompress_parallel, deflate, gzip_compress_parallel,
+    gzip_decompress, inflate, lz4_compress, lz4_decompress, read_range, BlockIndex, BlockedReader,
+    InnerCodec, DEFAULT_BLOCK_SIZE,
 };
 use xpl_core::ExpelliarmusRepo;
 use xpl_persist::{DurableConfig, DurableContentStore, MemFs};
@@ -353,7 +353,7 @@ pub fn run_microbench(
     // The container's inner codec is selectable (`--codec`); DEFLATE
     // is the default so historical BENCH.json trajectories compare.
     let blob = payload(if quick { 1024 * 1024 } else { 8 * 1024 * 1024 });
-    let blocked = blocked_compress_inner(&blob, DEFAULT_BLOCK_SIZE, blocked_codec);
+    let blocked = blocked_compress(&blob, DEFAULT_BLOCK_SIZE, blocked_codec);
     let legacy = gzip_compress_parallel(&blob);
     let (_, t_ss) = time_median(budget, || {
         std::hint::black_box(gzip_decompress(&legacy).expect("legacy inflate"));
@@ -375,8 +375,9 @@ pub fn run_microbench(
     // And on the committed regression corpus: blocked inflate must agree
     // with single-stream inflate byte-for-byte (the CI bench step runs
     // this, so a codec divergence fails the pipeline, not just a test).
+    let corp_blocked = blocked_compress(&corp, DEFAULT_BLOCK_SIZE, InnerCodec::Deflate);
     assert_eq!(
-        blocked_decompress_parallel(&blocked_compress(&corp)).expect("corpus blocked decodes"),
+        blocked_decompress_parallel(&corp_blocked).expect("corpus blocked decodes"),
         gzip_decompress(&gzip_compress_parallel(&corp)).expect("corpus legacy decodes"),
         "blocked and single-stream inflate disagree on the regression corpus"
     );
@@ -416,7 +417,7 @@ pub fn run_microbench(
     };
     // The hot tier's random-access path: the same range read out of an
     // LZ4 container (byte-identity checked against the source once).
-    let hot_container = blocked_compress_inner(&blob, DEFAULT_BLOCK_SIZE, InnerCodec::Lz4);
+    let hot_container = blocked_compress(&blob, DEFAULT_BLOCK_SIZE, InnerCodec::Lz4);
     let (i_hot, t_hot) = time_median(budget, || {
         std::hint::black_box(
             read_range(&hot_container, range_start, range_len as u64).expect("hot range read"),

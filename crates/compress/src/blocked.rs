@@ -101,9 +101,9 @@ impl InnerCodec {
     }
 }
 
-/// The inner codec of a container, by magic; `None` for anything else
-/// (including legacy gzip).
-pub fn inner_codec(bytes: &[u8]) -> Option<InnerCodec> {
+/// The inner codec of a container, by its complete magic; `None` for
+/// anything else (a proper prefix of a magic, a gzip member, …).
+fn inner_codec(bytes: &[u8]) -> Option<InnerCodec> {
     if bytes.len() < 4 {
         return None;
     }
@@ -128,7 +128,7 @@ fn decode_capacity(claimed: u64, compressed_len: usize) -> usize {
 /// this type — corrupt or truncated input must never panic.
 #[derive(Debug, PartialEq, Eq)]
 pub enum BlockedError {
-    /// The container does not start with the "XBC1" magic.
+    /// The container starts with neither container magic ("XBC1"/"XBL1").
     BadMagic,
     /// Fewer bytes than the layout requires.
     Truncated { need: u64, have: u64 },
@@ -306,18 +306,10 @@ impl BlockIndex {
         first..last + 1
     }
 
-    /// Compressed bytes a range read transfers: the touched blocks'
-    /// DEFLATE streams plus the header, index and footer overhead —
-    /// what an honest store charges for serving the range. An empty
-    /// range (or a start past the end) touches no blocks and charges
-    /// nothing, matching [`BlockIndex::blocks_for_range`].
-    pub fn compressed_span_bytes(&self, start: u64, len: u64) -> u64 {
-        let span = self.blocks_for_range(start, len);
-        if span.is_empty() {
-            return 0;
-        }
-        let blocks: u64 = self.entries[span].iter().map(|e| e.comp_len as u64).sum();
-        blocks + (HEADER + FOOTER) as u64 + self.entries.len() as u64 * INDEX_ENTRY as u64
+    /// Fixed container overhead: header, footer and the whole index.
+    /// Every reader pays it once, whatever blocks it inflates.
+    fn overhead_bytes(&self) -> u64 {
+        (HEADER + FOOTER) as u64 + self.entries.len() as u64 * INDEX_ENTRY as u64
     }
 }
 
@@ -327,26 +319,10 @@ pub fn is_blocked(bytes: &[u8]) -> bool {
     inner_codec(bytes).is_some()
 }
 
-/// Compress with the default block size (DEFLATE inner codec).
-pub fn blocked_compress(data: &[u8]) -> Vec<u8> {
-    blocked_compress_inner(data, DEFAULT_BLOCK_SIZE, InnerCodec::Deflate)
-}
-
-/// Compress `data` into a blocked-DEFLATE container with a chosen block
-/// size.
-pub fn blocked_compress_with(data: &[u8], block_size: usize) -> Vec<u8> {
-    blocked_compress_inner(data, block_size, InnerCodec::Deflate)
-}
-
-/// Compress with the default block size and the LZ4 inner codec — the
-/// fast tier.
-pub fn blocked_compress_lz4(data: &[u8]) -> Vec<u8> {
-    blocked_compress_inner(data, DEFAULT_BLOCK_SIZE, InnerCodec::Lz4)
-}
-
-/// Compress `data` into a blocked container, encoding blocks in
-/// parallel across the rayon pool with the chosen inner codec.
-pub fn blocked_compress_inner(data: &[u8], block_size: usize, codec: InnerCodec) -> Vec<u8> {
+/// Compress `data` into a blocked container of `block_size`-byte blocks,
+/// encoding blocks in parallel across the rayon pool with the chosen
+/// inner codec.
+pub fn blocked_compress(data: &[u8], block_size: usize, codec: InnerCodec) -> Vec<u8> {
     assert!(block_size > 0 && block_size <= u32::MAX as usize);
     let compressed: Vec<(Vec<u8>, u32, u32)> = data
         .par_chunks(block_size)
@@ -382,11 +358,7 @@ pub fn blocked_compress_inner(data: &[u8], block_size: usize, codec: InnerCodec)
 
 /// Decode and CRC-check one block, dispatching on the container's
 /// inner codec.
-pub fn inflate_block(
-    data: &[u8],
-    index: &BlockIndex,
-    block: usize,
-) -> Result<Vec<u8>, BlockedError> {
+fn inflate_block(data: &[u8], index: &BlockIndex, block: usize) -> Result<Vec<u8>, BlockedError> {
     let e = &index.entries[block];
     let comp = &data[e.comp_off as usize..(e.comp_off + e.comp_len as u64) as usize];
     let out = match index.codec {
@@ -439,32 +411,7 @@ pub fn blocked_decompress_parallel(data: &[u8]) -> Result<Vec<u8>, BlockedError>
 /// the blocks the range overlaps. Clamps like a slice: bytes past the
 /// end are simply absent, so the result can be shorter than `len`.
 pub fn read_range(data: &[u8], start: u64, len: u64) -> Result<Vec<u8>, BlockedError> {
-    let index = BlockIndex::parse(data)?;
-    read_range_indexed(data, &index, start, len)
-}
-
-/// [`read_range`] against an already-parsed index (amortizes parsing
-/// across many reads of the same container).
-pub fn read_range_indexed(
-    data: &[u8],
-    index: &BlockIndex,
-    start: u64,
-    len: u64,
-) -> Result<Vec<u8>, BlockedError> {
-    let end = start.saturating_add(len).min(index.total_len);
-    if start >= end {
-        return Ok(Vec::new());
-    }
-    let span = index.blocks_for_range(start, len);
-    let mut out = Vec::with_capacity(decode_capacity(end - start, data.len()));
-    for i in span {
-        let e = &index.entries[i];
-        let block = inflate_block(data, index, i)?;
-        let from = start.saturating_sub(e.uncomp_off) as usize;
-        let to = (end - e.uncomp_off).min(block.len() as u64) as usize;
-        out.extend_from_slice(&block[from..to]);
-    }
-    Ok(out)
+    BlockedReader::new(data)?.read_at(start, len)
 }
 
 /// Inflate and CRC-check every block (the persist `deep_verify` sweep
@@ -533,16 +480,12 @@ impl<'a> BlockedReader<'a> {
     pub fn attach_obs(&mut self, obs: std::sync::Arc<CodecObs>) {
         debug_assert!(self.cache.is_empty(), "attach before reading");
         obs.compressed_bytes_touched
-            .add((HEADER + FOOTER) as u64 + self.index.entries.len() as u64 * INDEX_ENTRY as u64);
+            .add(self.index.overhead_bytes());
         self.obs = Some(obs);
     }
 
     pub fn index(&self) -> &BlockIndex {
         &self.index
-    }
-
-    pub fn total_len(&self) -> u64 {
-        self.index.total_len
     }
 
     /// Distinct blocks inflated so far.
@@ -564,7 +507,7 @@ impl<'a> BlockedReader<'a> {
             .keys()
             .map(|&i| self.index.entries[i].comp_len as u64)
             .sum();
-        blocks + (HEADER + FOOTER) as u64 + self.index.entries.len() as u64 * INDEX_ENTRY as u64
+        blocks + self.index.overhead_bytes()
     }
 
     /// Read `[start, start+len)` of the uncompressed stream (clamped),
@@ -575,7 +518,7 @@ impl<'a> BlockedReader<'a> {
             return Ok(Vec::new());
         }
         let span = self.index.blocks_for_range(start, len);
-        let mut out = Vec::with_capacity((end - start) as usize);
+        let mut out = Vec::with_capacity(decode_capacity(end - start, self.data.len()));
         for i in span {
             if !self.cache.contains_key(&i) {
                 let block = inflate_block(self.data, &self.index, i)?;
@@ -597,184 +540,6 @@ impl<'a> BlockedReader<'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// The seekable codec abstraction.
-// ---------------------------------------------------------------------
-
-/// Codec-level errors: either format's failure, or bytes neither codec
-/// claims.
-#[derive(Debug, PartialEq, Eq)]
-pub enum CodecError {
-    Blocked(BlockedError),
-    Gzip(crate::GzipError),
-    /// The stream matches neither the blocked nor the gzip magic.
-    UnknownFormat,
-}
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodecError::Blocked(e) => write!(f, "blocked codec: {e}"),
-            CodecError::Gzip(e) => write!(f, "gzip codec: {e}"),
-            CodecError::UnknownFormat => write!(f, "unknown compression format"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-impl From<BlockedError> for CodecError {
-    fn from(e: BlockedError) -> Self {
-        CodecError::Blocked(e)
-    }
-}
-
-impl From<crate::GzipError> for CodecError {
-    fn from(e: crate::GzipError) -> Self {
-        CodecError::Gzip(e)
-    }
-}
-
-/// A seekable block-stream codec: compress whole, decompress whole, or
-/// serve a byte range of the uncompressed stream. Implementations are
-/// stateless and shareable (`Send + Sync`).
-pub trait BlockCodec: Send + Sync {
-    fn name(&self) -> &'static str;
-    fn compress(&self, data: &[u8]) -> Vec<u8>;
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<u8>, CodecError>;
-    /// Bytes `[start, start+len)` of the uncompressed stream, clamped.
-    fn read_range(&self, stream: &[u8], start: u64, len: u64) -> Result<Vec<u8>, CodecError>;
-}
-
-/// The blocked container codec (parallel inflate, real range reads).
-pub struct BlockedDeflate {
-    pub block_size: usize,
-}
-
-impl Default for BlockedDeflate {
-    fn default() -> Self {
-        BlockedDeflate {
-            block_size: DEFAULT_BLOCK_SIZE,
-        }
-    }
-}
-
-impl BlockCodec for BlockedDeflate {
-    fn name(&self) -> &'static str {
-        "blocked-deflate"
-    }
-
-    fn compress(&self, data: &[u8]) -> Vec<u8> {
-        blocked_compress_with(data, self.block_size)
-    }
-
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<u8>, CodecError> {
-        Ok(blocked_decompress_parallel(stream)?)
-    }
-
-    fn read_range(&self, stream: &[u8], start: u64, len: u64) -> Result<Vec<u8>, CodecError> {
-        Ok(read_range(stream, start, len)?)
-    }
-}
-
-/// The blocked container with the LZ4 inner codec — the hot tier:
-/// decode runs several times faster than inflate at a worse ratio, and
-/// range reads keep their CRC-checked per-block validation.
-pub struct BlockedLz4 {
-    pub block_size: usize,
-}
-
-impl Default for BlockedLz4 {
-    fn default() -> Self {
-        BlockedLz4 {
-            block_size: DEFAULT_BLOCK_SIZE,
-        }
-    }
-}
-
-impl BlockCodec for BlockedLz4 {
-    fn name(&self) -> &'static str {
-        "blocked-lz4"
-    }
-
-    fn compress(&self, data: &[u8]) -> Vec<u8> {
-        blocked_compress_inner(data, self.block_size, InnerCodec::Lz4)
-    }
-
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<u8>, CodecError> {
-        Ok(blocked_decompress_parallel(stream)?)
-    }
-
-    fn read_range(&self, stream: &[u8], start: u64, len: u64) -> Result<Vec<u8>, CodecError> {
-        Ok(read_range(stream, start, len)?)
-    }
-}
-
-/// The legacy single-stream gzip codec. Kept readable for containers
-/// written before the blocked format existed; a range read must inflate
-/// the whole stream and slice — the cost the blocked format removes.
-pub struct LegacyGzip;
-
-impl BlockCodec for LegacyGzip {
-    fn name(&self) -> &'static str {
-        "gzip"
-    }
-
-    fn compress(&self, data: &[u8]) -> Vec<u8> {
-        crate::gzip_compress_parallel(data)
-    }
-
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<u8>, CodecError> {
-        Ok(crate::gzip_decompress(stream)?)
-    }
-
-    fn read_range(&self, stream: &[u8], start: u64, len: u64) -> Result<Vec<u8>, CodecError> {
-        let full = crate::gzip_decompress(stream)?;
-        let end = start.saturating_add(len).min(full.len() as u64);
-        let start = start.min(end);
-        Ok(full[start as usize..end as usize].to_vec())
-    }
-}
-
-static BLOCKED: BlockedDeflate = BlockedDeflate {
-    block_size: DEFAULT_BLOCK_SIZE,
-};
-static BLOCKED_LZ4: BlockedLz4 = BlockedLz4 {
-    block_size: DEFAULT_BLOCK_SIZE,
-};
-static GZIP: LegacyGzip = LegacyGzip;
-
-/// Identify the codec a stream was written with (by magic). A stream
-/// shorter than any full magic — including every proper prefix of a
-/// known magic — is [`CodecError::UnknownFormat`], never a misdetection:
-/// dispatch requires the *complete* magic of exactly one codec.
-pub fn codec_for(stream: &[u8]) -> Result<&'static dyn BlockCodec, CodecError> {
-    match inner_codec(stream) {
-        Some(InnerCodec::Deflate) => Ok(&BLOCKED),
-        Some(InnerCodec::Lz4) => Ok(&BLOCKED_LZ4),
-        None if stream.len() >= 2 && stream[0] == 0x1F && stream[1] == 0x8B => Ok(&GZIP),
-        None => Err(CodecError::UnknownFormat),
-    }
-}
-
-/// Look up a codec by CLI/config name. Accepts the canonical names
-/// (`blocked-deflate`, `blocked-lz4`, `gzip`) and the short tier names
-/// (`deflate`, `lz4`). `None` for anything else.
-pub fn codec_by_name(name: &str) -> Option<&'static dyn BlockCodec> {
-    match name.to_ascii_lowercase().as_str() {
-        "blocked-deflate" | "deflate" => Some(&BLOCKED),
-        "blocked-lz4" | "lz4" => Some(&BLOCKED_LZ4),
-        "gzip" => Some(&GZIP),
-        _ => None,
-    }
-}
-
-/// Decompress a stream of any known format, dispatching on its magic —
-/// the backward-compatibility read path.
-pub fn decompress_auto(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
-    codec_for(stream)?.decompress(stream)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -794,6 +559,14 @@ mod tests {
         out
     }
 
+    fn dense(data: &[u8]) -> Vec<u8> {
+        blocked_compress(data, DEFAULT_BLOCK_SIZE, InnerCodec::Deflate)
+    }
+
+    fn fast(data: &[u8]) -> Vec<u8> {
+        blocked_compress(data, DEFAULT_BLOCK_SIZE, InnerCodec::Lz4)
+    }
+
     #[test]
     fn roundtrip_sizes() {
         for n in [
@@ -805,7 +578,7 @@ mod tests {
             DEFAULT_BLOCK_SIZE + 1,
         ] {
             let data = sample(n);
-            let c = blocked_compress(&data);
+            let c = dense(&data);
             assert_eq!(blocked_decompress(&c).unwrap(), data, "n={n}");
             assert_eq!(blocked_decompress_parallel(&c).unwrap(), data, "n={n}");
         }
@@ -814,7 +587,7 @@ mod tests {
     #[test]
     fn multi_block_layout() {
         let data = sample(300_000);
-        let c = blocked_compress(&data);
+        let c = dense(&data);
         let idx = BlockIndex::parse(&c).unwrap();
         assert_eq!(idx.entries.len(), 300_000usize.div_ceil(DEFAULT_BLOCK_SIZE));
         assert_eq!(idx.total_len, 300_000);
@@ -826,7 +599,7 @@ mod tests {
     #[test]
     fn range_reads_touch_minimal_blocks() {
         let data = sample(8 * 1024 * 1024);
-        let c = blocked_compress(&data);
+        let c = dense(&data);
         let idx = BlockIndex::parse(&c).unwrap();
         assert_eq!(idx.entries.len(), 128);
         // A 64 KiB span straddles at most 2 of the 128 blocks.
@@ -835,13 +608,15 @@ mod tests {
         let got = read_range(&c, 1_000_000, 64 * 1024).unwrap();
         assert_eq!(got, &data[1_000_000..1_000_000 + 64 * 1024]);
         // Charged bytes are a small fraction of the container.
-        assert!(idx.compressed_span_bytes(1_000_000, 64 * 1024) < c.len() as u64 / 8);
+        let mut r = BlockedReader::new(&c).unwrap();
+        assert_eq!(r.read_at(1_000_000, 64 * 1024).unwrap(), got);
+        assert!(r.compressed_bytes_touched() < c.len() as u64 / 8);
     }
 
     #[test]
     fn range_clamps_like_a_slice() {
         let data = sample(1000);
-        let c = blocked_compress(&data);
+        let c = dense(&data);
         assert_eq!(read_range(&c, 900, 500).unwrap(), &data[900..]);
         assert_eq!(read_range(&c, 5000, 10).unwrap(), b"");
         assert_eq!(read_range(&c, 0, 0).unwrap(), b"");
@@ -851,7 +626,7 @@ mod tests {
     #[test]
     fn reader_caches_blocks() {
         let data = sample(256 * 1024);
-        let c = blocked_compress(&data);
+        let c = dense(&data);
         let mut r = BlockedReader::new(&c).unwrap();
         assert_eq!(r.read_at(0, 100).unwrap(), &data[..100]);
         assert_eq!(r.read_at(10, 50).unwrap(), &data[10..60]);
@@ -864,7 +639,7 @@ mod tests {
     #[test]
     fn corrupt_block_is_typed_error() {
         let data = sample(200_000);
-        let mut c = blocked_compress(&data);
+        let mut c = dense(&data);
         // Flip a byte in the middle of the blocks region.
         c[HEADER + 1000] ^= 0x20;
         let err = blocked_decompress(&c).unwrap_err();
@@ -880,47 +655,6 @@ mod tests {
         // Other blocks still serve ranges.
         let got = read_range(&c, 150_000, 100).unwrap();
         assert_eq!(got, &data[150_000..150_100]);
-    }
-
-    #[test]
-    fn codec_dispatch_and_legacy_compat() {
-        let data = sample(200_000);
-        let blocked = BlockedDeflate::default().compress(&data);
-        let legacy = crate::gzip_compress_parallel(&data);
-        assert_eq!(codec_for(&blocked).unwrap().name(), "blocked-deflate");
-        assert_eq!(codec_for(&legacy).unwrap().name(), "gzip");
-        assert_eq!(decompress_auto(&blocked).unwrap(), data);
-        assert_eq!(decompress_auto(&legacy).unwrap(), data);
-        assert_eq!(codec_for(b"????").err(), Some(CodecError::UnknownFormat));
-        // Range reads work through both codecs (gzip pays full inflate).
-        for codec in [codec_for(&blocked).unwrap(), codec_for(&legacy).unwrap()] {
-            let stream = if codec.name() == "gzip" {
-                &legacy
-            } else {
-                &blocked
-            };
-            assert_eq!(
-                codec.read_range(stream, 12_345, 678).unwrap(),
-                &data[12_345..12_345 + 678]
-            );
-        }
-    }
-
-    #[test]
-    fn empty_span_charges_zero_bytes() {
-        let data = sample(200_000);
-        let c = blocked_compress(&data);
-        let idx = BlockIndex::parse(&c).unwrap();
-        // Regression: these used to charge header + footer + the whole
-        // index even though no block is touched.
-        assert_eq!(idx.compressed_span_bytes(0, 0), 0);
-        assert_eq!(idx.compressed_span_bytes(1234, 0), 0);
-        assert_eq!(idx.compressed_span_bytes(idx.total_len, 100), 0);
-        assert_eq!(idx.compressed_span_bytes(u64::MAX, u64::MAX), 0);
-        // Non-empty spans still pay block bytes plus container overhead.
-        let one = idx.compressed_span_bytes(0, 1);
-        assert!(one > (HEADER + FOOTER) as u64);
-        assert!(one >= idx.entries[0].comp_len as u64);
     }
 
     /// A syntactically valid container whose single index entry claims
@@ -958,6 +692,7 @@ mod tests {
             blocked_decompress(&c).map(|_| ()).unwrap_err(),
             blocked_decompress_parallel(&c).map(|_| ()).unwrap_err(),
             read_range(&c, 0, 10).map(|_| ()).unwrap_err(),
+            BlockedReader::new(&c).map(|_| ()).unwrap_err(),
         ] {
             assert!(matches!(err, BlockedError::CorruptIndex(_)), "{err:?}");
         }
@@ -982,7 +717,7 @@ mod tests {
     #[test]
     fn verify_blocks_counts_and_detects() {
         let data = sample(200_000);
-        let c = blocked_compress(&data);
+        let c = dense(&data);
         assert_eq!(verify_blocks(&c).unwrap(), 4);
         let mut bad = c.clone();
         bad[HEADER + 5] ^= 0x01;
@@ -1000,14 +735,14 @@ mod tests {
             300_000,
         ] {
             let data = sample(n);
-            let c = blocked_compress_lz4(&data);
+            let c = fast(&data);
             assert_eq!(inner_codec(&c), Some(InnerCodec::Lz4), "n={n}");
             assert!(is_blocked(&c));
             assert_eq!(blocked_decompress(&c).unwrap(), data, "n={n}");
             assert_eq!(blocked_decompress_parallel(&c).unwrap(), data, "n={n}");
         }
         let data = sample(500_000);
-        let c = blocked_compress_lz4(&data);
+        let c = fast(&data);
         let idx = BlockIndex::parse(&c).unwrap();
         assert_eq!(idx.codec, InnerCodec::Lz4);
         // Range reads inflate only the touched blocks, same as DEFLATE.
@@ -1023,7 +758,7 @@ mod tests {
     #[test]
     fn lz4_container_corruption_and_truncation_are_typed() {
         let data = sample(150_000);
-        let c = blocked_compress_lz4(&data);
+        let c = fast(&data);
         // A flipped block byte is caught by the per-block checks even
         // when the damaged stream still decodes (CRC backstop).
         let mut bad = c.clone();
@@ -1040,7 +775,7 @@ mod tests {
         );
         // Every truncation of the container is a typed error: the index
         // and footer live at the end, so no prefix parses.
-        let small = blocked_compress_lz4(&sample(3000));
+        let small = fast(&sample(3000));
         for cut in 0..small.len() {
             let err = blocked_decompress(&small[..cut]).unwrap_err();
             assert!(
@@ -1057,80 +792,30 @@ mod tests {
 
     #[test]
     fn codec_magic_prefixes_are_typed_errors_never_misdetected() {
-        // Satellite: every proper prefix of every known magic — blocked
-        // DEFLATE ("XBC1"), blocked LZ4 ("XBL1"), gzip (0x1F 0x8B) —
-        // must surface as a typed error from both `codec_for` and
-        // `decompress_auto`. A gzip prefix of length 1 must not be
-        // "detected" as gzip; a 3-byte "XBC" must not be blocked.
-        let magics: [&[u8]; 3] = [MAGIC, LZ4_MAGIC, &[0x1F, 0x8B]];
-        for magic in magics {
-            for take in 0..magic.len() {
-                let prefix = &magic[..take];
-                assert_eq!(
-                    codec_for(prefix).err(),
-                    Some(CodecError::UnknownFormat),
-                    "prefix {prefix:?} of {magic:?} must be UnknownFormat"
-                );
-                assert_eq!(
-                    decompress_auto(prefix).err(),
-                    Some(CodecError::UnknownFormat),
-                    "prefix {prefix:?} of {magic:?} must not decompress"
-                );
-            }
-            // The complete magic alone dispatches, then fails typed in
-            // the codec (truncated container / truncated gzip) — never
-            // a panic, never Ok.
-            let whole = magic;
-            match codec_for(whole) {
-                Ok(codec) => {
-                    let err = codec.decompress(whole).unwrap_err();
-                    assert!(
-                        matches!(err, CodecError::Blocked(_) | CodecError::Gzip(_)),
-                        "{err:?}"
-                    );
-                }
-                Err(e) => panic!("complete magic {whole:?} must dispatch, got {e:?}"),
+        // Every proper prefix of either container magic, the complete
+        // magic alone, and a gzip member must fail typed — BadMagic or
+        // Truncated — from every entry point, never decode and never
+        // panic. A 3-byte "XBC" must not pass as a container.
+        let gzip_member = crate::gzip_compress(&sample(1000));
+        let mut inputs: Vec<&[u8]> = vec![&gzip_member];
+        for magic in [MAGIC, LZ4_MAGIC] {
+            for take in 0..=magic.len() {
+                inputs.push(&magic[..take]);
             }
         }
-    }
-
-    #[test]
-    fn codec_by_name_resolves_tiers() {
-        assert_eq!(
-            codec_by_name("blocked-deflate").unwrap().name(),
-            "blocked-deflate"
-        );
-        assert_eq!(codec_by_name("deflate").unwrap().name(), "blocked-deflate");
-        assert_eq!(codec_by_name("LZ4").unwrap().name(), "blocked-lz4");
-        assert_eq!(codec_by_name("blocked-lz4").unwrap().name(), "blocked-lz4");
-        assert_eq!(codec_by_name("gzip").unwrap().name(), "gzip");
-        assert!(codec_by_name("zstd").is_none());
-        assert!(codec_by_name("").is_none());
-    }
-
-    #[test]
-    fn lz4_codec_dispatch_roundtrip() {
-        let data = sample(200_000);
-        let fast = BlockedLz4::default().compress(&data);
-        assert_eq!(codec_for(&fast).unwrap().name(), "blocked-lz4");
-        assert_eq!(decompress_auto(&fast).unwrap(), data);
-        assert_eq!(
-            codec_for(&fast)
-                .unwrap()
-                .read_range(&fast, 9_876, 543)
-                .unwrap(),
-            &data[9_876..9_876 + 543]
-        );
-        // The three formats stay mutually distinguishable.
-        let dense = blocked_compress(&data);
-        let legacy = crate::gzip_compress_parallel(&data);
-        assert_eq!(codec_for(&dense).unwrap().name(), "blocked-deflate");
-        assert_eq!(codec_for(&legacy).unwrap().name(), "gzip");
-        // LZ4 trades ratio for decode speed: the fast container may be
-        // larger, but both reproduce the bytes.
-        assert_eq!(
-            decompress_auto(&dense).unwrap(),
-            decompress_auto(&fast).unwrap()
-        );
+        for input in inputs {
+            for err in [
+                BlockIndex::parse(input).map(|_| ()).unwrap_err(),
+                blocked_decompress(input).map(|_| ()).unwrap_err(),
+                blocked_decompress_parallel(input).map(|_| ()).unwrap_err(),
+                read_range(input, 0, 10).map(|_| ()).unwrap_err(),
+                BlockedReader::new(input).map(|_| ()).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, BlockedError::BadMagic | BlockedError::Truncated { .. }),
+                    "{input:?}: {err:?}"
+                );
+            }
+        }
     }
 }

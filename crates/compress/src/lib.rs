@@ -10,14 +10,17 @@
 //! * [`deflate`] / [`inflate`] — raw DEFLATE streams.
 //! * [`gzip_compress`] / [`gzip_decompress`] — framed, CRC-checked.
 //! * [`gzip_compress_parallel`] — rayon-parallel multi-member gzip
-//!   (RFC 1952 concatenation semantics), used for large image payloads.
-//! * [`blocked`] — the seekable blocked container: parallel inflate and
-//!   byte-range reads over independently-encoded 64 KiB blocks, behind
-//!   the [`BlockCodec`] trait (legacy gzip stays readable via
-//!   [`decompress_auto`]).
+//!   (RFC 1952 concatenation semantics). The gzip functions are the
+//!   single-stream baseline the benchmarks measure the blocked container
+//!   against; no store reads through them.
+//! * [`blocked`] — the seekable blocked container every store writes:
+//!   one encoder ([`blocked_compress`]), sequential and parallel whole
+//!   decoders ([`blocked_decompress`], [`blocked_decompress_parallel`])
+//!   and one range reader ([`BlockedReader`], with [`read_range`] as its
+//!   one-shot form) over independently-encoded 64 KiB blocks.
 //! * [`lz4`] — the LZ4-class fast codec: greedy hash-table matching, a
 //!   literal-run/match token format, no entropy stage. Slots into the
-//!   blocked container as the hot-tier inner codec ([`BlockedLz4`],
+//!   blocked container as the hot-tier inner codec ([`InnerCodec::Lz4`],
 //!   magic `XBL1`) so range reads and parallel decode come for free.
 
 pub mod bitio;
@@ -29,10 +32,8 @@ pub mod lz4;
 pub mod lz77;
 
 pub use blocked::{
-    blocked_compress, blocked_compress_inner, blocked_compress_lz4, blocked_compress_with,
-    blocked_decompress, blocked_decompress_parallel, codec_by_name, codec_for, decompress_auto,
-    inner_codec, is_blocked, read_range, verify_blocks, BlockCodec, BlockIndex, BlockedDeflate,
-    BlockedError, BlockedLz4, BlockedReader, CodecError, CodecObs, InnerCodec, LegacyGzip,
+    blocked_compress, blocked_decompress, blocked_decompress_parallel, is_blocked, read_range,
+    verify_blocks, BlockIndex, BlockedError, BlockedReader, CodecObs, InnerCodec,
     DEFAULT_BLOCK_SIZE,
 };
 pub use deflate::{deflate, inflate, InflateError};

@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use xpl_compress::{
-    blocked_compress, blocked_compress_with, blocked_decompress, blocked_decompress_parallel,
-    gzip_compress_parallel, read_range, BlockedError, BlockedReader, DEFAULT_BLOCK_SIZE,
+    blocked_compress, blocked_decompress, blocked_decompress_parallel, gzip_compress_parallel,
+    read_range, BlockedError, BlockedReader, InnerCodec, DEFAULT_BLOCK_SIZE,
 };
 use xpl_util::SplitMix64;
 
@@ -37,7 +37,7 @@ fn texty(seed: u64, n: usize) -> Vec<u8> {
 }
 
 fn roundtrip_all_paths(data: &[u8], block_size: usize) {
-    let c = blocked_compress_with(data, block_size);
+    let c = blocked_compress(data, block_size, InnerCodec::Deflate);
     assert_eq!(blocked_decompress(&c).expect("sequential"), data);
     assert_eq!(blocked_decompress_parallel(&c).expect("parallel"), data);
     assert_eq!(read_range(&c, 0, data.len() as u64).expect("range"), data);
@@ -59,10 +59,10 @@ fn byte_identical_across_thread_counts() {
     // The acceptance pin: blocked round-trips are byte-identical at
     // 1 / 2 / 8 threads, both compressing and decompressing.
     let data = texty(123, 5 * DEFAULT_BLOCK_SIZE + 777);
-    let reference = blocked_compress(&data);
+    let reference = blocked_compress(&data, DEFAULT_BLOCK_SIZE, InnerCodec::Deflate);
     for threads in [1usize, 2, 8] {
         let (c, out) = rayon::with_num_threads(threads, || {
-            let c = blocked_compress(&data);
+            let c = blocked_compress(&data, DEFAULT_BLOCK_SIZE, InnerCodec::Deflate);
             let out = blocked_decompress_parallel(&c).expect("inflate");
             (c, out)
         });
@@ -95,7 +95,7 @@ proptest! {
         b in any::<u64>(),
     ) {
         let data = texty(seed, len);
-        let c = blocked_compress_with(&data, 4096);
+        let c = blocked_compress(&data, 4096, InnerCodec::Deflate);
         // Differential oracle: read_range == inflate-everything-then-slice,
         // including out-of-bounds starts and over-long lengths.
         let start = a % (len as u64 * 2);
@@ -111,7 +111,7 @@ proptest! {
         cut in 0usize..2_000,
     ) {
         let data = texty(4, 40_000);
-        let c = blocked_compress_with(&data, 4096);
+        let c = blocked_compress(&data, 4096, InnerCodec::Deflate);
         let cut = cut % c.len();
         // Every prefix decodes to a typed error (or, for cut=0 … never:
         // an empty prefix is Truncated too), never a panic or success.
@@ -133,7 +133,7 @@ fn corruption_at_every_index_byte_is_typed() {
     // flip must surface as a typed error from one of the decode paths —
     // never a panic, and never a silently wrong payload.
     let data = texty(21, 10 * 4096 + 123);
-    let c = blocked_compress_with(&data, 4096);
+    let c = blocked_compress(&data, 4096, InnerCodec::Deflate);
     let index_region = 4096usize.min(c.len()); // 11 entries * 12 + 20 < 4096
     for i in (c.len() - index_region)..c.len() {
         for bit in [0x01u8, 0x80] {
@@ -161,7 +161,7 @@ fn corruption_at_every_index_byte_is_typed() {
 #[test]
 fn truncation_at_every_tail_byte_is_typed() {
     let data = texty(22, 6 * 4096);
-    let c = blocked_compress_with(&data, 4096);
+    let c = blocked_compress(&data, 4096, InnerCodec::Deflate);
     // Cut at every boundary in the last 256 bytes (covers the whole
     // index + footer) and at a spread of earlier offsets.
     let cuts: Vec<usize> = (c.len().saturating_sub(256)..c.len())
@@ -188,7 +188,7 @@ fn range_read_of_8mib_blob_touches_under_an_eighth() {
     // The acceptance criterion: a 64 KiB span of an 8 MiB blob must
     // decompress fewer than 1/8 of the blocks.
     let data = texty(33, 8 * 1024 * 1024);
-    let c = blocked_compress(&data);
+    let c = blocked_compress(&data, DEFAULT_BLOCK_SIZE, InnerCodec::Deflate);
     let mut r = BlockedReader::new(&c).expect("parse");
     let total_blocks = r.index().entries.len();
     assert_eq!(total_blocks, 128);
@@ -208,7 +208,7 @@ fn blocked_ratio_comparable_to_gzip() {
     // of index; on texty content it must stay within a few percent of the
     // multi-member gzip the stores used before.
     let data = texty(44, 2 * 1024 * 1024);
-    let blocked = blocked_compress(&data);
+    let blocked = blocked_compress(&data, DEFAULT_BLOCK_SIZE, InnerCodec::Deflate);
     let gz = gzip_compress_parallel(&data);
     assert!(
         (blocked.len() as f64) < gz.len() as f64 * 1.05,

@@ -7,11 +7,15 @@
 
 use proptest::prelude::*;
 use xpl_compress::{
-    blocked_compress_lz4, blocked_decompress, blocked_decompress_parallel, codec_for,
-    decompress_auto, lz4_compress, lz4_decompress, read_range, BlockedError, CodecError,
+    blocked_compress, blocked_decompress, blocked_decompress_parallel, gzip_compress, lz4_compress,
+    lz4_decompress, read_range, BlockIndex, BlockedError, BlockedReader, InnerCodec,
     DEFAULT_BLOCK_SIZE,
 };
 use xpl_util::SplitMix64;
+
+fn fast(data: &[u8]) -> Vec<u8> {
+    blocked_compress(data, DEFAULT_BLOCK_SIZE, InnerCodec::Lz4)
+}
 
 fn roundtrip(data: &[u8]) {
     let raw = lz4_compress(data);
@@ -20,7 +24,7 @@ fn roundtrip(data: &[u8]) {
         data,
         "raw lz4 roundtrip"
     );
-    let container = blocked_compress_lz4(data);
+    let container = fast(data);
     assert_eq!(
         blocked_decompress(&container).expect("container decode"),
         data,
@@ -30,11 +34,6 @@ fn roundtrip(data: &[u8]) {
         blocked_decompress_parallel(&container).expect("parallel decode"),
         data,
         "parallel container roundtrip"
-    );
-    assert_eq!(
-        decompress_auto(&container).expect("auto decode"),
-        data,
-        "decompress_auto must sniff XBL1"
     );
 }
 
@@ -72,7 +71,7 @@ proptest! {
         for chunk in data.chunks_mut(61) {
             chunk[0] = b'/'; // sprinkle matches so blocks compress
         }
-        let c = blocked_compress_lz4(&data);
+        let c = fast(&data);
         let start = start % (data.len() as u64 * 2);
         let got = read_range(&c, start, span).expect("range");
         let end = (start + span).min(data.len() as u64) as usize;
@@ -87,7 +86,7 @@ proptest! {
     #[test]
     fn container_truncation_is_typed(cut_seed in any::<u64>()) {
         let data: Vec<u8> = (0..20_000u32).flat_map(|i| (i / 16).to_le_bytes()).collect();
-        let c = blocked_compress_lz4(&data);
+        let c = fast(&data);
         let cut = (cut_seed % c.len() as u64) as usize;
         let err = blocked_decompress(&c[..cut]).expect_err("prefix must fail");
         prop_assert!(matches!(
@@ -151,7 +150,7 @@ fn corruption_at_every_byte_is_typed_or_caught() {
     // error, or (for flips the per-block CRC proves harmless — there
     // are none, but the contract is the assert) the exact payload.
     let data: Vec<u8> = (0..3000u32).flat_map(|i| (i / 8).to_le_bytes()).collect();
-    let c = blocked_compress_lz4(&data);
+    let c = fast(&data);
     for i in 0..c.len() {
         let mut bad = c.clone();
         bad[i] ^= 0x10;
@@ -186,10 +185,24 @@ fn raw_stream_truncation_at_every_byte_never_panics() {
 
 #[test]
 fn magic_prefixes_never_misdetect() {
-    // "XBL1" truncated to every length, through the public dispatch.
-    for take in 0..4 {
-        let prefix = &b"XBL1"[..take];
-        assert_eq!(codec_for(prefix).err(), Some(CodecError::UnknownFormat));
+    // "XBL1" truncated to every length, the complete magic alone, and a
+    // gzip member: each is BadMagic or Truncated from every public
+    // decoder, never a decode.
+    let gzip_member = gzip_compress(b"/etc/alternatives/ /etc/alternatives/");
+    let mut inputs: Vec<&[u8]> = (0..=4).map(|take| &b"XBL1"[..take]).collect();
+    inputs.push(&gzip_member);
+    for input in inputs {
+        for err in [
+            BlockIndex::parse(input).map(|_| ()).unwrap_err(),
+            blocked_decompress(input).map(|_| ()).unwrap_err(),
+            blocked_decompress_parallel(input).map(|_| ()).unwrap_err(),
+            read_range(input, 0, 10).map(|_| ()).unwrap_err(),
+            BlockedReader::new(input).map(|_| ()).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, BlockedError::BadMagic | BlockedError::Truncated { .. }),
+                "{input:?}: {err:?}"
+            );
+        }
     }
-    assert_eq!(codec_for(b"XBL1").unwrap().name(), "blocked-lz4");
 }

@@ -831,7 +831,7 @@ mod tests {
         let raw: Vec<u8> = (0..20_000u64)
             .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
             .collect();
-        let blocked = xpl_compress::blocked_compress_with(&raw, 4096);
+        let blocked = xpl_compress::blocked_compress(&raw, 4096, xpl_compress::InnerCodec::Deflate);
         let (d, _) = store.put(&blocked).unwrap();
         assert_eq!(store.deep_verify().unwrap(), 1);
 
@@ -868,7 +868,7 @@ mod tests {
         let raw: Vec<u8> = (0..30_000u64)
             .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 53) as u8)
             .collect();
-        let lz4 = xpl_compress::blocked_compress_inner(&raw, 4096, xpl_compress::InnerCodec::Lz4);
+        let lz4 = xpl_compress::blocked_compress(&raw, 4096, xpl_compress::InnerCodec::Lz4);
         let (d, _) = store.put(&lz4).unwrap();
         assert_eq!(store.deep_verify().unwrap(), 1);
 
@@ -877,7 +877,10 @@ mod tests {
         assert_eq!(recovered.deep_verify().unwrap(), 1);
         let back = recovered.get(&d).unwrap();
         assert_eq!(back, lz4);
-        assert_eq!(xpl_compress::decompress_auto(&back).unwrap(), raw);
+        assert_eq!(
+            xpl_compress::blocked_decompress_parallel(&back).unwrap(),
+            raw
+        );
 
         // Damage inside the LZ4 block data is localized by deep_verify.
         let file = segment::file_name("cas", 1);

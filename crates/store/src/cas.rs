@@ -63,6 +63,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
+use xpl_compress::{InnerCodec, DEFAULT_BLOCK_SIZE};
 use xpl_obs::{Counter, Histogram, ObsSlot, Registry, Section};
 use xpl_persist::{cas_state_fingerprint, DurableContentStore};
 use xpl_simio::SimDevice;
@@ -95,11 +96,12 @@ impl BlobCodec {
     }
 
     fn encode(self, raw: &[u8]) -> Vec<u8> {
-        match self {
-            BlobCodec::Raw => raw.to_vec(),
-            BlobCodec::Deflate => xpl_compress::blocked_compress(raw),
-            BlobCodec::Lz4 => xpl_compress::blocked_compress_lz4(raw),
-        }
+        let inner = match self {
+            BlobCodec::Raw => return raw.to_vec(),
+            BlobCodec::Deflate => InnerCodec::Deflate,
+            BlobCodec::Lz4 => InnerCodec::Lz4,
+        };
+        xpl_compress::blocked_compress(raw, DEFAULT_BLOCK_SIZE, inner)
     }
 }
 
