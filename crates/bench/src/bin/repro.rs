@@ -97,11 +97,15 @@ use xpl_bench::experiments::*;
 use xpl_bench::{ablations, churn, render};
 use xpl_workloads::World;
 
+/// The value after `flag`, when the flag is present. A present flag
+/// with no value (the last token, or followed by another `--flag`) is a
+/// usage error, never silently ignored.
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1) {
+        Some(value) if !value.starts_with("--") => Some(value.clone()),
+        _ => fail(format!("{flag} needs a value")),
+    }
 }
 
 /// Print a one-line usage error and exit 2.
@@ -229,9 +233,10 @@ impl Metrics {
     }
 }
 
-/// `--json FILE`: write `report` there as pretty JSON.
-fn write_json_flag<T: serde::Serialize>(args: &[String], report: &T) {
-    if let Some(path) = flag_value(args, "--json") {
+/// `--json FILE`: write `report` there as pretty JSON. Commands read
+/// the flag before their run, so a malformed one fails fast.
+fn write_json_flag<T: serde::Serialize>(json: Option<String>, report: &T) {
+    if let Some(path) = json {
         let json = serde_json::to_string_pretty(report).expect("serialize report");
         std::fs::File::create(&path)
             .and_then(|mut f| f.write_all(json.as_bytes()))
@@ -244,12 +249,12 @@ fn write_json_flag<T: serde::Serialize>(args: &[String], report: &T) {
 /// `serve --net`): write `--json` and `--metrics`, then print PASS and
 /// exit 0, or print up to 20 violations and exit 1.
 fn finish_oracle_run<T: serde::Serialize>(
-    args: &[String],
+    json: Option<String>,
     report: &T,
     metrics: Option<&Metrics>,
     violations: &[String],
 ) -> ! {
-    write_json_flag(args, report);
+    write_json_flag(json, report);
     if let Some(m) = metrics {
         m.finish();
     }
@@ -265,6 +270,7 @@ fn finish_oracle_run<T: serde::Serialize>(
 }
 
 fn run_churn_cmd(args: &[String]) -> ! {
+    let json = flag_value(args, "--json");
     let seed: u64 = parse_u64_flag(args, "--seed").unwrap_or(0xDEADBEEF);
     let ops: usize = parse_nonzero_flag(args, "--ops").unwrap_or(500) as usize;
     let mut cfg = match parse_scale(args) {
@@ -340,7 +346,7 @@ fn run_churn_cmd(args: &[String]) -> ! {
             );
         }
     }
-    finish_oracle_run(args, &report, metrics.as_ref(), &report.violations);
+    finish_oracle_run(json, &report, metrics.as_ref(), &report.violations);
 }
 
 /// `repro audit` — the deep integrity audit (`check_integrity_deep`:
@@ -357,7 +363,8 @@ fn run_audit_cmd(args: &[String]) -> ! {
         World::standard()
     };
     let names = world.image_names();
-    let stores: Vec<Box<dyn ImageStore>> = churn::five_stores(|| world.env());
+    let stores: Vec<Box<dyn ImageStore>> =
+        churn::five_stores(|| world.env(), xpl_store::TierPolicy::raw());
     let vmis: Vec<_> = names.iter().map(|n| world.build_image(n)).collect();
     for store in &stores {
         for vmi in &vmis {
@@ -402,6 +409,7 @@ fn run_audit_cmd(args: &[String]) -> ! {
 /// `xpl_bench::serve` for the three-phase pipeline).
 fn run_serve_cmd(args: &[String]) -> ! {
     use xpl_bench::{ServeRunConfig, StoreKind};
+    let json = flag_value(args, "--json");
     let seed: u64 = parse_u64_flag(args, "--seed").unwrap_or(0xC0FFEE);
     let mut cfg = match parse_scale(args) {
         "standard" => ServeRunConfig::standard(seed),
@@ -468,7 +476,7 @@ fn run_serve_cmd(args: &[String]) -> ! {
         );
         let report = xpl_bench::run_serve_net(&cfg, &net, registry);
         print!("{}", xpl_bench::serve_net::render_net(&report));
-        finish_oracle_run(args, &report, metrics.as_ref(), &report.violations);
+        finish_oracle_run(json, &report, metrics.as_ref(), &report.violations);
     }
 
     let threads = parse_threads(args);
@@ -482,7 +490,7 @@ fn run_serve_cmd(args: &[String]) -> ! {
         None => run(),
     };
     print!("{}", xpl_bench::serve::render(&report));
-    finish_oracle_run(args, &report, metrics.as_ref(), &report.violations);
+    finish_oracle_run(json, &report, metrics.as_ref(), &report.violations);
 }
 
 fn run_bench_cmd(args: &[String]) -> ! {
@@ -499,6 +507,7 @@ fn run_bench_cmd(args: &[String]) -> ! {
             }
         }
     }
+    let json = flag_value(args, "--json");
     let quick = args.iter().any(|a| a == "--quick");
     // The blocked section's container codec; the codec-tier comparison
     // measures both regardless.
@@ -522,7 +531,7 @@ fn run_bench_cmd(args: &[String]) -> ! {
         metrics.as_ref().map(Metrics::registry),
     );
     print!("{}", xpl_bench::microbench::render(&report));
-    write_json_flag(args, &report);
+    write_json_flag(json, &report);
     if let Some(m) = &metrics {
         m.finish();
     }
@@ -533,11 +542,12 @@ fn run_bench_cmd(args: &[String]) -> ! {
 /// `repro ablate-codec` — the storage-codec trade-off table. Needs no
 /// world: the sweep runs over one seeded synthetic payload.
 fn run_ablate_codec_cmd(args: &[String]) -> ! {
+    let json = flag_value(args, "--json");
     let mib = parse_nonzero_flag(args, "--payload-mib").unwrap_or(8) as usize;
     eprintln!("[repro] codec ablation over a {mib} MiB seeded payload…");
     let rows = ablations::codec_ablation_sweep(mib * 1024 * 1024, 0.2);
     print_codec_ablation(&rows);
-    write_json_flag(args, &rows);
+    write_json_flag(json, &rows);
     std::process::exit(0);
 }
 

@@ -86,9 +86,10 @@
 
 use std::sync::Arc;
 
+use crate::serve::StoreKind;
 use rayon::prelude::*;
 use serde::Serialize;
-use xpl_baselines::{GzipStore, HemeraStore, MirageStore, QcowStore};
+use xpl_baselines::MirageStore;
 use xpl_core::ExpelliarmusRepo;
 use xpl_persist::{DurableConfig, DurableContentStore, MemFs};
 use xpl_simio::SimEnv;
@@ -252,6 +253,19 @@ struct DurableAttachment {
     recovered_blobs: u64,
 }
 
+impl DurableAttachment {
+    fn new(vfs: Arc<MemFs>, sections: Vec<(String, Arc<DurableContentStore>)>) -> Self {
+        DurableAttachment {
+            vfs,
+            sections,
+            recoveries: 0,
+            wal_records_replayed: 0,
+            torn_tails: 0,
+            recovered_blobs: 0,
+        }
+    }
+}
+
 struct Replica {
     store: Box<dyn ImageStore>,
     expected_bytes: u64,
@@ -282,28 +296,14 @@ fn durable_section(vfs: &Arc<MemFs>, section: &str) -> (String, Arc<DurableConte
     (section.to_string(), Arc::new(store))
 }
 
-/// The five evaluated stores over fresh simulated environments (the
-/// one construction point shared by the churn replay, the
-/// microbenchmarks and `repro audit`), each on its default tier.
-pub fn five_stores(env: impl Fn() -> SimEnv) -> Vec<Box<dyn ImageStore>> {
-    vec![
-        Box::new(QcowStore::new(env())),
-        Box::new(GzipStore::new(env())),
-        Box::new(MirageStore::new(env())),
-        Box::new(HemeraStore::new(env())),
-        Box::new(ExpelliarmusRepo::new(env())),
-    ]
-}
-
-/// The five stores with every tiered one (all but raw Qcow2) on `tier`.
-pub fn five_stores_tiered(env: impl Fn() -> SimEnv, tier: TierPolicy) -> Vec<Box<dyn ImageStore>> {
-    vec![
-        Box::new(QcowStore::new(env())),
-        Box::new(GzipStore::new(env()).with_tier(tier)),
-        Box::new(MirageStore::new(env()).with_tier(tier)),
-        Box::new(HemeraStore::new(env()).with_tier(tier)),
-        Box::new(ExpelliarmusRepo::new(env()).with_tier(tier)),
-    ]
+/// The five evaluated stores over fresh simulated environments, in
+/// [`StoreKind::ALL`] order, every tiered one (all but raw Qcow2) on
+/// `tier`.
+pub fn five_stores(env: impl Fn() -> SimEnv, tier: TierPolicy) -> Vec<Box<dyn ImageStore>> {
+    StoreKind::ALL
+        .iter()
+        .map(|kind| kind.make(env(), tier))
+        .collect()
 }
 
 fn replica(store: Box<dyn ImageStore>, durable: Option<DurableAttachment>) -> Replica {
@@ -321,62 +321,39 @@ fn replica(store: Box<dyn ImageStore>, durable: Option<DurableAttachment>) -> Re
 /// through to log-structured backends over fault-injecting in-memory
 /// media (each replica owns its medium).
 fn fresh_replicas(durable: bool, tier: TierPolicy) -> Vec<Replica> {
-    if !durable {
-        return five_stores_tiered(SimEnv::testbed, tier)
-            .into_iter()
-            .map(|store| replica(store, None))
-            .collect();
-    }
-    let mirage_vfs = Arc::new(MemFs::new());
-    let mirage_files = durable_section(&mirage_vfs, "files");
-    let mirage = replica(
-        Box::new(
-            MirageStore::new_durable(SimEnv::testbed(), Arc::clone(&mirage_files.1))
-                .with_tier(tier),
-        ),
-        Some(DurableAttachment {
-            vfs: mirage_vfs,
-            sections: vec![mirage_files],
-            recoveries: 0,
-            wal_records_replayed: 0,
-            torn_tails: 0,
-            recovered_blobs: 0,
-        }),
-    );
-    let xpl_vfs = Arc::new(MemFs::new());
-    let packages = durable_section(&xpl_vfs, "packages");
-    let data = durable_section(&xpl_vfs, "data");
-    let expelliarmus = replica(
-        Box::new(
-            ExpelliarmusRepo::new_durable(
-                SimEnv::testbed(),
-                Arc::clone(&packages.1),
-                Arc::clone(&data.1),
-            )
-            .with_tier(tier),
-        ),
-        Some(DurableAttachment {
-            vfs: xpl_vfs,
-            sections: vec![packages, data],
-            recoveries: 0,
-            wal_records_replayed: 0,
-            torn_tails: 0,
-            recovered_blobs: 0,
-        }),
-    );
-    vec![
-        replica(Box::new(QcowStore::new(SimEnv::testbed())), None),
-        replica(
-            Box::new(GzipStore::new(SimEnv::testbed()).with_tier(tier)),
-            None,
-        ),
-        mirage,
-        replica(
-            Box::new(HemeraStore::new(SimEnv::testbed()).with_tier(tier)),
-            None,
-        ),
-        expelliarmus,
-    ]
+    StoreKind::ALL
+        .iter()
+        .map(|&kind| match kind {
+            StoreKind::Mirage if durable => {
+                let vfs = Arc::new(MemFs::new());
+                let files = durable_section(&vfs, "files");
+                replica(
+                    Box::new(
+                        MirageStore::new_durable(SimEnv::testbed(), Arc::clone(&files.1))
+                            .with_tier(tier),
+                    ),
+                    Some(DurableAttachment::new(vfs, vec![files])),
+                )
+            }
+            StoreKind::Expelliarmus if durable => {
+                let vfs = Arc::new(MemFs::new());
+                let packages = durable_section(&vfs, "packages");
+                let data = durable_section(&vfs, "data");
+                replica(
+                    Box::new(
+                        ExpelliarmusRepo::new_durable(
+                            SimEnv::testbed(),
+                            Arc::clone(&packages.1),
+                            Arc::clone(&data.1),
+                        )
+                        .with_tier(tier),
+                    ),
+                    Some(DurableAttachment::new(vfs, vec![packages, data])),
+                )
+            }
+            _ => replica(kind.make(SimEnv::testbed(), tier), None),
+        })
+        .collect()
 }
 
 /// Generate the trace for a config (exposed so tests can assert

@@ -25,7 +25,7 @@ use xpl_compress::{
 };
 use xpl_core::ExpelliarmusRepo;
 use xpl_persist::{DurableConfig, DurableContentStore, MemFs};
-use xpl_store::ImageStore;
+use xpl_store::{ImageStore, TierPolicy};
 use xpl_util::{Crc32, Sha256};
 use xpl_workloads::World;
 
@@ -515,7 +515,7 @@ pub fn run_microbench(
     let vmis: Vec<_> = names.iter().map(|n| world.build_image(n)).collect();
     let sweep = |threads: usize| {
         rayon::with_num_threads(threads, || {
-            let stores = crate::churn::five_stores(|| world.env());
+            let stores = crate::churn::five_stores(|| world.env(), TierPolicy::raw());
             let t = Instant::now();
             let _: Vec<()> = stores
                 .into_par_iter()

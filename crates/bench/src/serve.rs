@@ -34,8 +34,7 @@ use std::time::Instant;
 use xpl_baselines::{GzipStore, HemeraStore, MirageStore, QcowStore};
 use xpl_core::ExpelliarmusRepo;
 use xpl_registry::{
-    run_registry_obs, RegObs, RegistryConfig, RegistryOutcome, RequestKey, ServeRequest,
-    ServiceModel,
+    run_registry, RegObs, RegistryConfig, RegistryOutcome, RequestKey, ServeRequest, ServiceModel,
 };
 use xpl_simio::SimEnv;
 use xpl_store::{semantic_fingerprint, ImageStore, RetrieveRequest, StoreError, TierPolicy};
@@ -53,6 +52,16 @@ pub enum StoreKind {
 }
 
 impl StoreKind {
+    /// The five evaluated stores, in the order five-store reports list
+    /// them.
+    pub const ALL: [StoreKind; 5] = [
+        StoreKind::Qcow2,
+        StoreKind::Gzip,
+        StoreKind::Mirage,
+        StoreKind::Hemera,
+        StoreKind::Expelliarmus,
+    ];
+
     /// Parse a CLI name. Accepts the churn-report display names too.
     pub fn parse(s: &str) -> Option<StoreKind> {
         match s.to_ascii_lowercase().as_str() {
@@ -65,28 +74,16 @@ impl StoreKind {
         }
     }
 
-    pub fn make(self) -> Box<dyn ImageStore> {
+    /// A fresh store of this kind over `env`, with the codec tier policy
+    /// applied to every store that keeps compressed payloads (raw qcow2
+    /// has nothing to recompress).
+    pub fn make(self, env: SimEnv, tier: TierPolicy) -> Box<dyn ImageStore> {
         match self {
-            StoreKind::Qcow2 => Box::new(QcowStore::new(SimEnv::testbed())),
-            StoreKind::Gzip => Box::new(GzipStore::new(SimEnv::testbed())),
-            StoreKind::Mirage => Box::new(MirageStore::new(SimEnv::testbed())),
-            StoreKind::Hemera => Box::new(HemeraStore::new(SimEnv::testbed())),
-            StoreKind::Expelliarmus => Box::new(ExpelliarmusRepo::new(SimEnv::testbed())),
-        }
-    }
-
-    /// Like [`StoreKind::make`], but with the codec tier policy applied
-    /// to every store that keeps compressed payloads (raw qcow2 has
-    /// nothing to recompress).
-    pub fn make_tiered(self, tier: TierPolicy) -> Box<dyn ImageStore> {
-        match self {
-            StoreKind::Qcow2 => Box::new(QcowStore::new(SimEnv::testbed())),
-            StoreKind::Gzip => Box::new(GzipStore::new(SimEnv::testbed()).with_tier(tier)),
-            StoreKind::Mirage => Box::new(MirageStore::new(SimEnv::testbed()).with_tier(tier)),
-            StoreKind::Hemera => Box::new(HemeraStore::new(SimEnv::testbed()).with_tier(tier)),
-            StoreKind::Expelliarmus => {
-                Box::new(ExpelliarmusRepo::new(SimEnv::testbed()).with_tier(tier))
-            }
+            StoreKind::Qcow2 => Box::new(QcowStore::new(env)),
+            StoreKind::Gzip => Box::new(GzipStore::new(env).with_tier(tier)),
+            StoreKind::Mirage => Box::new(MirageStore::new(env).with_tier(tier)),
+            StoreKind::Hemera => Box::new(HemeraStore::new(env).with_tier(tier)),
+            StoreKind::Expelliarmus => Box::new(ExpelliarmusRepo::new(env).with_tier(tier)),
         }
     }
 }
@@ -300,7 +297,7 @@ pub(crate) struct PreparedServe {
 pub(crate) fn prepare(cfg: &ServeRunConfig) -> PreparedServe {
     let world = ScaledWorld::generate(&cfg.scale);
     let names = world.image_names();
-    let store: Arc<dyn ImageStore> = Arc::from(cfg.store.make_tiered(cfg.tier));
+    let store: Arc<dyn ImageStore> = Arc::from(cfg.store.make(SimEnv::testbed(), cfg.tier));
     let mut requests: HashMap<String, (RetrieveRequest, u64)> = HashMap::new();
     for name in &names {
         let vmi = world.build(name, 0);
@@ -397,9 +394,13 @@ pub fn run_serve(cfg: &ServeRunConfig, registry: Option<&Arc<xpl_obs::Registry>>
         coalesce: cfg.coalesce,
     };
     let model = MeasuredModel { costs: &costs };
-    let reg_obs = registry.map(|r| RegObs::new(r));
-    let outcome: RegistryOutcome =
-        run_registry_obs(&reg_requests, &model, &reg_cfg, reg_obs.as_ref());
+    let outcome: RegistryOutcome = run_registry(&reg_requests, &model, &reg_cfg);
+    // The metrics sink is folded in *after* the run from the outcome
+    // alone, so attaching one cannot perturb the schedule — the outcome
+    // (and its log fingerprint) is byte-identical with or without it.
+    if let Some(reg) = registry {
+        RegObs::new(reg).record(&outcome);
+    }
 
     // Phase 3 — wall-clock replay of the store-hit schedule on the
     // worker pool, with the differential digest check.

@@ -348,6 +348,16 @@ fn cli_validation_errors_are_one_line_and_exit_2() {
             vec!["churn", "--ops", "10", "--durable", "--crashes", "40"],
             "--crashes 40 exceeds the trace's 10 ops",
         ),
+        (vec!["churn", "--seed"], "--seed needs a value"),
+        (
+            vec!["churn", "--ops", "5", "--json"],
+            "--json needs a value",
+        ),
+        (vec!["serve", "--metrics"], "--metrics needs a value"),
+        (
+            vec!["churn", "--json", "--metrics", "m.json"],
+            "--json needs a value",
+        ),
     ] {
         let out = repro().args(&args).output().expect("spawn repro");
         assert_eq!(

@@ -154,11 +154,7 @@ impl NetClient {
         Ok(self.conn.as_mut().unwrap())
     }
 
-    fn attempt(&mut self, id: u64, body: &[u8]) -> Result<Vec<u8>, NetError> {
-        self.attempt_kind(FrameKind::Request, id, body)
-    }
-
-    fn attempt_kind(&mut self, kind: FrameKind, id: u64, body: &[u8]) -> Result<Vec<u8>, NetError> {
+    fn attempt(&mut self, kind: FrameKind, id: u64, body: &[u8]) -> Result<Vec<u8>, NetError> {
         let max_frame = self.cfg.max_frame;
         let t = self.ensure_conn()?;
         write_frame(&mut **t, kind, &encode_request(id, body))?;
@@ -195,6 +191,22 @@ impl NetClient {
     /// `Draining` ([`NetError::Rejected`]) and service errors; returns
     /// [`NetError::Exhausted`] when the attempt budget runs out.
     pub fn call(&mut self, body: &[u8]) -> Result<Vec<u8>, NetError> {
+        self.round_trip(FrameKind::Request, body)
+    }
+
+    /// Fetch the server's metrics snapshot (the canonical registry JSON)
+    /// over the wire via a [`FrameKind::Stats`] frame. The server answers
+    /// these before its draining check and outside the admission gate, so
+    /// this works mid-storm and mid-drain; transport faults are retried
+    /// by the same loop as [`NetClient::call`]. Returns
+    /// [`NetError::Service`] when the server has no registry attached.
+    pub fn stats_snapshot(&mut self) -> Result<Vec<u8>, NetError> {
+        self.round_trip(FrameKind::Stats, &[])
+    }
+
+    /// The one retry loop behind [`NetClient::call`] and
+    /// [`NetClient::stats_snapshot`].
+    fn round_trip(&mut self, kind: FrameKind, body: &[u8]) -> Result<Vec<u8>, NetError> {
         let id = self.next_id;
         self.next_id += 1;
         let attempts = self.backoff.max_attempts.max(1);
@@ -204,7 +216,7 @@ impl NetClient {
                 let delay = self.backoff.delay_ns(attempt - 1, &mut self.rng);
                 std::thread::sleep(Duration::from_nanos(delay));
             }
-            match self.attempt(id, body) {
+            match self.attempt(kind, id, body) {
                 Ok(reply) => {
                     self.stats.served += 1;
                     return Ok(reply);
@@ -223,44 +235,6 @@ impl NetClient {
                 Err(_transport) => {
                     // Reset / torn frame / deadline / dial failure: tear
                     // the connection down and re-dial after backoff.
-                    if self.conn.take().is_some() {
-                        self.stats.reconnects += 1;
-                    }
-                }
-            }
-        }
-        Err(NetError::Exhausted { attempts })
-    }
-
-    /// Fetch the server's metrics snapshot (the canonical registry JSON)
-    /// over the wire via a [`FrameKind::Stats`] frame. The server answers
-    /// these before its draining check and outside the admission gate, so
-    /// this works mid-storm and mid-drain; transport faults are retried
-    /// with the same backoff as [`NetClient::call`]. Returns
-    /// [`NetError::Service`] when the server has no registry attached.
-    pub fn stats_snapshot(&mut self) -> Result<Vec<u8>, NetError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let attempts = self.backoff.max_attempts.max(1);
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.stats.retries += 1;
-                let delay = self.backoff.delay_ns(attempt - 1, &mut self.rng);
-                std::thread::sleep(Duration::from_nanos(delay));
-            }
-            match self.attempt_kind(FrameKind::Stats, id, &[]) {
-                Ok(reply) => {
-                    self.stats.served += 1;
-                    return Ok(reply);
-                }
-                Err(e @ (NetError::Service(_) | NetError::Malformed(_))) => return Err(e),
-                Err(e @ NetError::FrameTooLarge { .. }) => return Err(e),
-                Err(e @ (NetError::Rejected(_) | NetError::Overload { .. })) => {
-                    // Stats bypasses the gate and the drain check; these
-                    // statuses would mean a protocol bug on the far side.
-                    return Err(e);
-                }
-                Err(_transport) => {
                     if self.conn.take().is_some() {
                         self.stats.reconnects += 1;
                     }

@@ -111,19 +111,4 @@ impl NetError {
             _ => NetError::Io(e.to_string()),
         }
     }
-
-    /// Transport-level failures a client may retry on a fresh
-    /// connection (as opposed to protocol-level rejections, which are
-    /// final).
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            NetError::PeerClosed
-                | NetError::Reset
-                | NetError::Timeout
-                | NetError::Truncated { .. }
-                | NetError::BadHeaderCrc { .. }
-                | NetError::BadPayloadCrc { .. }
-        )
-    }
 }

@@ -11,9 +11,10 @@
 //! forged length field is rejected **before** it is trusted for
 //! allocation — the same hostile-input discipline as the blocked
 //! codec's decode-capacity clamp. `pcrc` is CRC-32 over the payload.
-//! Decoding never panics: truncation, bad magic, an unknown kind, an
-//! oversized length, and either CRC mismatch all surface as typed
-//! [`NetError`]s.
+//! [`read_frame`] is the one decoder — the server, the client and the
+//! frame tests all read through it. It never panics: truncation, bad
+//! magic, an unknown kind, an oversized length, and either CRC mismatch
+//! all surface as typed [`NetError`]s.
 
 use crate::{NetError, Transport};
 use xpl_util::Crc32;
@@ -111,36 +112,6 @@ fn check_payload(payload: &[u8], trailer: &[u8]) -> Result<(), NetError> {
         return Err(NetError::BadPayloadCrc { expected, actual });
     }
     Ok(())
-}
-
-/// Decode one frame from a byte buffer, returning it and the number of
-/// bytes consumed. Typed errors for every malformation; never panics,
-/// never allocates more than the validated payload length.
-pub fn decode(buf: &[u8], max_frame: u32) -> Result<(Frame, usize), NetError> {
-    if buf.len() < HEADER_LEN {
-        return Err(NetError::Truncated {
-            needed: HEADER_LEN,
-            have: buf.len(),
-        });
-    }
-    let header: &[u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().unwrap();
-    let (kind, len) = check_header(header, max_frame)?;
-    let total = HEADER_LEN + len as usize + TRAILER_LEN;
-    if buf.len() < total {
-        return Err(NetError::Truncated {
-            needed: total,
-            have: buf.len(),
-        });
-    }
-    let payload = &buf[HEADER_LEN..HEADER_LEN + len as usize];
-    check_payload(payload, &buf[HEADER_LEN + len as usize..total])?;
-    Ok((
-        Frame {
-            kind,
-            payload: payload.to_vec(),
-        },
-        total,
-    ))
 }
 
 /// Read exactly `buf.len()` bytes from a transport. `Ok(false)` means
@@ -246,60 +217,4 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, u8, &[u8]), NetError> {
     }
     let id = u64::from_le_bytes(payload[..8].try_into().unwrap());
     Ok((id, payload[8], &payload[9..]))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip() {
-        for payload in [&b""[..], b"x", b"hello wire", &[0u8; 4096]] {
-            let bytes = encode(FrameKind::Request, payload);
-            let (frame, used) = decode(&bytes, DEFAULT_MAX_FRAME).unwrap();
-            assert_eq!(used, bytes.len());
-            assert_eq!(frame.kind, FrameKind::Request);
-            assert_eq!(frame.payload, payload);
-        }
-    }
-
-    #[test]
-    fn hostile_length_rejected_before_allocation() {
-        // A header claiming 3 GiB with a *valid* header CRC: the only
-        // defense is the max-frame bound, checked before allocating.
-        let mut bytes = encode(FrameKind::Request, b"small");
-        bytes[5..9].copy_from_slice(&(3u32 << 30).to_le_bytes());
-        let hcrc = Crc32::checksum(&bytes[..9]);
-        bytes[9..13].copy_from_slice(&hcrc.to_le_bytes());
-        assert_eq!(
-            decode(&bytes, DEFAULT_MAX_FRAME),
-            Err(NetError::FrameTooLarge {
-                len: 3 << 30,
-                max: DEFAULT_MAX_FRAME
-            })
-        );
-    }
-
-    #[test]
-    fn forged_length_without_crc_is_caught_by_header_crc() {
-        let mut bytes = encode(FrameKind::Request, b"small");
-        bytes[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            decode(&bytes, DEFAULT_MAX_FRAME),
-            Err(NetError::BadHeaderCrc { .. })
-        ));
-    }
-
-    #[test]
-    fn bad_kind_and_magic_are_typed() {
-        let mut bytes = encode(FrameKind::Hello, b"t");
-        bytes[0] ^= 0xFF;
-        assert!(matches!(decode(&bytes, 1024), Err(NetError::BadMagic(_))));
-
-        let mut bytes = encode(FrameKind::Hello, b"t");
-        bytes[4] = 0x7F;
-        let hcrc = Crc32::checksum(&bytes[..9]);
-        bytes[9..13].copy_from_slice(&hcrc.to_le_bytes());
-        assert_eq!(decode(&bytes, 1024), Err(NetError::BadKind(0x7F)));
-    }
 }

@@ -23,6 +23,12 @@
 //!   requests, answers stragglers with `Draining` (clients fail fast
 //!   with [`NetError::Rejected`]), flushes, then closes.
 //!
+//! Each wire concept has one implementation: one frame decoder
+//! ([`frame::read_frame`]), one private connection host that both
+//! [`NetServer`] (TCP) and [`MemHost`] (in-memory pipes) feed, and one
+//! client retry loop behind [`NetClient::call`] and
+//! [`NetClient::stats_snapshot`].
+//!
 //! The server maps per-connection tenants onto the registry's
 //! [`xpl_registry::AdmissionGate`]; `xpl-bench`'s `repro serve --net`
 //! drives the whole `ServeSchedule` through it under the same
@@ -37,9 +43,7 @@ mod transport;
 pub use client::{BackoffPolicy, ClientStats, Connector, NetClient};
 pub use error::NetError;
 pub use frame::{Frame, FrameKind, DEFAULT_MAX_FRAME, HEADER_LEN, TRAILER_LEN};
-pub use server::{
-    serve_connection, MemHost, NetServer, ServerStats, ServerStatsSnapshot, WireConfig, WireService,
-};
+pub use server::{MemHost, NetServer, ServerStats, ServerStatsSnapshot, WireConfig, WireService};
 pub use transport::{
     mem_pair, FaultConfig, FaultStats, FaultTransport, MemTransport, TcpTransport, Transport,
 };

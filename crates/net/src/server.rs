@@ -1,6 +1,6 @@
 //! The threaded wire server.
 //!
-//! One thread per connection, each running [`serve_connection`]:
+//! One thread per connection, each running the connection loop:
 //! handshake (a `Hello` frame naming the connection's tenant), then a
 //! request/response loop. Per-connection tenants map onto the
 //! registry's [`AdmissionGate`] — a full tenant bound becomes a typed
@@ -11,15 +11,18 @@
 //! in-flight requests finish, answer anything newly read with
 //! `Draining`, flush, then close.
 //!
-//! Two front ends share the connection loop: [`NetServer`] accepts real
-//! TCP sockets; [`MemHost`] hands out in-memory (optionally
-//! fault-injected) connections for deterministic robustness tests.
+//! Two front ends share one private connection host (gate, counters,
+//! drain flag, connection threads, and the loop itself): [`NetServer`]
+//! feeds it accepted TCP sockets; [`MemHost`] feeds it in-memory
+//! (optionally fault-injected) pipes for deterministic robustness tests.
 
 use crate::frame::{
     decode_request, encode_response, read_frame, write_frame, FrameKind, DEFAULT_MAX_FRAME,
     STATUS_DRAINING, STATUS_ERROR, STATUS_OK, STATUS_OVERLOAD,
 };
-use crate::transport::{mem_pair, FaultConfig, FaultStats, FaultTransport, TcpTransport};
+use crate::transport::{
+    mem_pair, FaultConfig, FaultStats, FaultTransport, MemTransport, TcpTransport,
+};
 use crate::{NetError, Transport};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -140,180 +143,168 @@ impl ServerStats {
     }
 }
 
-/// Serve one connection until the peer closes, a deadline evicts it, or
-/// drain finishes it. Every exit path is typed and counted; nothing in
-/// here panics on peer misbehavior (a mid-response vanishing client
-/// surfaces as [`NetError::PeerClosed`] on the write and is counted).
-/// `stats_registry` answers [`FrameKind::Stats`] requests with its
-/// snapshot; `None` refuses them with a typed service error.
-pub fn serve_connection(
-    mut t: Box<dyn Transport>,
-    svc: &dyn WireService,
-    gate: &AdmissionGate,
-    cfg: &WireConfig,
-    draining: &AtomicBool,
-    stats: &ServerStats,
-    stats_registry: Option<&Registry>,
-) {
-    let _ = t.set_read_deadline(Some(cfg.read_deadline));
-    let _ = t.set_write_deadline(Some(cfg.write_deadline));
+// ---------------------------------------------------- connection host
 
-    // Handshake: the first frame must be Hello naming the tenant.
-    let tenant = match read_frame(&mut *t, cfg.max_frame) {
-        Ok(Some(f)) if f.kind == FrameKind::Hello && f.payload.len() == 4 => {
-            stats.frames_in.inc();
-            u32::from_le_bytes(f.payload[..4].try_into().unwrap())
-        }
-        Ok(None) => return, // connected and left: nothing lost
-        Ok(Some(_)) => {
-            stats.frame_errors.inc();
-            t.shutdown();
-            return;
-        }
-        Err(NetError::Timeout) => {
-            stats.evictions.inc();
-            t.shutdown();
-            return;
-        }
-        Err(NetError::PeerClosed | NetError::Reset | NetError::Truncated { .. }) => {
-            stats.peer_closed.inc();
-            t.shutdown();
-            return;
-        }
-        Err(_) => {
-            stats.frame_errors.inc();
-            t.shutdown();
-            return;
-        }
-    };
-
-    loop {
-        let frame = match read_frame(&mut *t, cfg.max_frame) {
-            Ok(Some(f)) => f,
-            Ok(None) => break, // clean close at a frame boundary
-            Err(NetError::Timeout) => {
-                // Slow-client eviction: stalled mid-request past the
-                // read deadline.
-                stats.evictions.inc();
-                break;
-            }
-            Err(NetError::PeerClosed | NetError::Reset | NetError::Truncated { .. }) => {
-                stats.peer_closed.inc();
-                break;
-            }
-            Err(_) => {
-                // Hostile header (oversized length, bad CRC, bad magic):
-                // rejected typed before any allocation; drop the link.
-                stats.frame_errors.inc();
-                break;
-            }
-        };
-        stats.frames_in.inc();
-        if frame.kind != FrameKind::Request && frame.kind != FrameKind::Stats {
-            stats.frame_errors.inc();
-            break;
-        }
-        let (id, body) = match decode_request(&frame.payload) {
-            Ok(x) => x,
-            Err(_) => {
-                stats.frame_errors.inc();
-                break;
-            }
-        };
-
-        // A Stats request is answered before the draining check and
-        // outside the admission gate: observability must keep working
-        // exactly when the server is overloaded, faulting, or drained.
-        if frame.kind == FrameKind::Stats {
-            let (status, reply) = match stats_registry {
-                Some(reg) => {
-                    stats.stats_served.inc();
-                    (STATUS_OK, reg.snapshot().render_json().into_bytes())
-                }
-                None => (STATUS_ERROR, b"no metrics registry attached".to_vec()),
-            };
-            if !send_reply(&mut *t, stats, id, status, &reply) {
-                break;
-            }
-            continue;
-        }
-
-        let (status, reply) = if draining.load(Ordering::Acquire) {
-            stats.drain_rejects.inc();
-            (STATUS_DRAINING, b"server draining".to_vec())
-        } else {
-            match gate.try_admit(tenant) {
-                Err(over) => {
-                    stats.overloads.inc();
-                    (
-                        STATUS_OVERLOAD,
-                        format!("{} in flight", over.in_flight).into_bytes(),
-                    )
-                }
-                Ok(_permit) => match svc.call(tenant, body) {
-                    Ok(bytes) => {
-                        stats.served.inc();
-                        (STATUS_OK, bytes)
-                    }
-                    Err(msg) => {
-                        stats.service_errors.inc();
-                        (STATUS_ERROR, msg.into_bytes())
-                    }
-                },
-            }
-        };
-
-        if !send_reply(&mut *t, stats, id, status, &reply) {
-            break;
-        }
-        if status == STATUS_DRAINING {
-            break; // drained response flushed; close the connection
-        }
-    }
-    t.shutdown();
+/// The connection host both front ends share: one admission gate, one
+/// `net.*` counter bundle, one drain flag, and the connection threads.
+/// [`NetServer`] feeds it accepted sockets; [`MemHost`] feeds it pipe
+/// ends.
+struct Host {
+    svc: Arc<dyn WireService>,
+    cfg: WireConfig,
+    gate: AdmissionGate,
+    draining: AtomicBool,
+    stats: ServerStats,
+    /// Where the `net.*` counters live: the caller's registry, or a
+    /// private one when none is attached.
+    registry: Arc<Registry>,
+    /// Whether `registry` is the caller's; only then are
+    /// [`FrameKind::Stats`] requests answered with its snapshot.
+    exposed: bool,
+    conns: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// Write one response frame, counting every failure mode. Returns
-/// `false` when the connection is done for.
-fn send_reply(
-    t: &mut dyn Transport,
-    stats: &ServerStats,
-    id: u64,
-    status: u8,
-    reply: &[u8],
-) -> bool {
-    match write_frame(t, FrameKind::Response, &encode_response(id, status, reply)) {
-        Ok(()) => {
-            stats.frames_out.inc();
-            true
+impl Host {
+    fn new(
+        svc: Arc<dyn WireService>,
+        cfg: WireConfig,
+        registry: Option<&Arc<Registry>>,
+    ) -> Arc<Host> {
+        let counted = registry.cloned().unwrap_or_else(Registry::new);
+        Arc::new(Host {
+            svc,
+            cfg,
+            gate: AdmissionGate::new(cfg.queue_depth),
+            draining: AtomicBool::new(false),
+            stats: ServerStats::new(&counted),
+            registry: counted,
+            exposed: registry.is_some(),
+            conns: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Count the connection and serve it on its own thread.
+    fn spawn(self: &Arc<Host>, t: Box<dyn Transport>, thread_name: String) {
+        self.stats.connections.inc();
+        let host = Arc::clone(self);
+        let handle = std::thread::Builder::new()
+            .name(thread_name)
+            .spawn(move || host.serve(t))
+            .expect("spawn connection thread");
+        self.conns.lock().unwrap().push(handle);
+    }
+
+    /// Answer new reads with `Draining`, join every connection thread,
+    /// and return the final accounting.
+    fn drain(&self) -> ServerStatsSnapshot {
+        self.draining.store(true, Ordering::Release);
+        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.conns.lock().unwrap());
+        for h in handles {
+            let _ = h.join();
         }
-        Err(NetError::PeerClosed | NetError::Reset) => {
-            // The client died mid-response: typed, counted, never a
-            // panic (SIGPIPE is ignored; EPIPE maps to PeerClosed).
-            stats.peer_closed.inc();
-            false
+        self.stats.snapshot()
+    }
+
+    /// Serve one connection until the peer closes, a deadline evicts it,
+    /// or drain finishes it. Every exit path is typed and counted here;
+    /// nothing panics on peer misbehavior (a client vanishing
+    /// mid-response surfaces as [`NetError::PeerClosed`] on the write).
+    fn serve(&self, mut t: Box<dyn Transport>) {
+        let _ = t.set_read_deadline(Some(self.cfg.read_deadline));
+        let _ = t.set_write_deadline(Some(self.cfg.write_deadline));
+        match self.converse(&mut *t) {
+            Ok(()) => {}
+            // Slow-client eviction: stalled past a read or write deadline.
+            Err(NetError::Timeout) => self.stats.evictions.inc(),
+            Err(NetError::PeerClosed | NetError::Reset | NetError::Truncated { .. }) => {
+                self.stats.peer_closed.inc()
+            }
+            // Protocol garbage — a hostile header (oversized length, bad
+            // CRC, bad magic) is rejected typed before any allocation.
+            Err(_) => self.stats.frame_errors.inc(),
         }
-        Err(NetError::Timeout) => {
-            stats.evictions.inc();
-            false
+        t.shutdown();
+    }
+
+    /// The handshake (a `Hello` frame naming the tenant), then the
+    /// request/response loop. `Ok` is a clean close at a frame boundary
+    /// or a flushed `Draining` reply.
+    fn converse(&self, t: &mut dyn Transport) -> Result<(), NetError> {
+        let max_frame = self.cfg.max_frame;
+        let Some(hello) = read_frame(t, max_frame)? else {
+            return Ok(()); // connected and left: nothing lost
+        };
+        let tenant = match <[u8; 4]>::try_from(hello.payload.as_slice()) {
+            Ok(b) if hello.kind == FrameKind::Hello => u32::from_le_bytes(b),
+            _ => return Err(NetError::Malformed("expected a 4-byte Hello frame".into())),
+        };
+        self.stats.frames_in.inc();
+
+        while let Some(frame) = read_frame(t, max_frame)? {
+            self.stats.frames_in.inc();
+            if frame.kind != FrameKind::Request && frame.kind != FrameKind::Stats {
+                return Err(NetError::Malformed(format!(
+                    "unexpected {:?} frame",
+                    frame.kind
+                )));
+            }
+            let (id, body) = decode_request(&frame.payload)?;
+
+            // A Stats request is answered before the draining check and
+            // outside the admission gate: observability must keep working
+            // exactly when the server is overloaded, faulting, or drained.
+            let (status, reply) = if frame.kind == FrameKind::Stats {
+                if self.exposed {
+                    self.stats.stats_served.inc();
+                    (
+                        STATUS_OK,
+                        self.registry.snapshot().render_json().into_bytes(),
+                    )
+                } else {
+                    (STATUS_ERROR, b"no metrics registry attached".to_vec())
+                }
+            } else if self.draining.load(Ordering::Acquire) {
+                self.stats.drain_rejects.inc();
+                (STATUS_DRAINING, b"server draining".to_vec())
+            } else {
+                match self.gate.try_admit(tenant) {
+                    Err(over) => {
+                        self.stats.overloads.inc();
+                        (
+                            STATUS_OVERLOAD,
+                            format!("{} in flight", over.in_flight).into_bytes(),
+                        )
+                    }
+                    Ok(_permit) => match self.svc.call(tenant, body) {
+                        Ok(bytes) => {
+                            self.stats.served.inc();
+                            (STATUS_OK, bytes)
+                        }
+                        Err(msg) => {
+                            self.stats.service_errors.inc();
+                            (STATUS_ERROR, msg.into_bytes())
+                        }
+                    },
+                }
+            };
+
+            write_frame(t, FrameKind::Response, &encode_response(id, status, &reply))?;
+            self.stats.frames_out.inc();
+            if status == STATUS_DRAINING {
+                break; // drained response flushed; close the connection
+            }
         }
-        Err(_) => {
-            stats.frame_errors.inc();
-            false
-        }
+        Ok(())
     }
 }
 
 // ---------------------------------------------------------- TCP server
 
-/// A threaded TCP front end: accept loop + one thread per connection.
+/// A threaded TCP front end: an accept loop feeding the connection host.
 pub struct NetServer {
     addr: SocketAddr,
-    stopped: Arc<AtomicBool>,
-    draining: Arc<AtomicBool>,
-    stats: Arc<ServerStats>,
+    host: Arc<Host>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl NetServer {
@@ -341,64 +332,26 @@ impl NetServer {
     ) -> Result<NetServer, NetError> {
         let listener = TcpListener::bind(addr).map_err(NetError::from_io)?;
         let addr = listener.local_addr().map_err(NetError::from_io)?;
-        let stopped = Arc::new(AtomicBool::new(false));
-        let draining = Arc::new(AtomicBool::new(false));
-        let counted = registry.cloned().unwrap_or_else(Registry::new);
-        let stats = Arc::new(ServerStats::new(&counted));
-        let exposed = registry.cloned();
-        let gate = Arc::new(AdmissionGate::new(cfg.queue_depth));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
+        let host = Host::new(svc, cfg, registry);
         let accept = {
-            let (stopped, draining, stats, conns) = (
-                stopped.clone(),
-                draining.clone(),
-                stats.clone(),
-                conns.clone(),
-            );
+            let host = Arc::clone(&host);
             std::thread::Builder::new()
                 .name("xpl-net-accept".into())
                 .spawn(move || {
                     for stream in listener.incoming() {
-                        if stopped.load(Ordering::Acquire) {
+                        if host.draining.load(Ordering::Acquire) {
                             break;
                         }
                         let Ok(stream) = stream else { continue };
-                        stats.connections.inc();
-                        let (svc, gate, draining, stats, exposed) = (
-                            svc.clone(),
-                            gate.clone(),
-                            draining.clone(),
-                            stats.clone(),
-                            exposed.clone(),
-                        );
-                        let handle = std::thread::Builder::new()
-                            .name("xpl-net-conn".into())
-                            .spawn(move || {
-                                serve_connection(
-                                    Box::new(TcpTransport::new(stream)),
-                                    &*svc,
-                                    &gate,
-                                    &cfg,
-                                    &draining,
-                                    &stats,
-                                    exposed.as_deref(),
-                                );
-                            })
-                            .expect("spawn connection thread");
-                        conns.lock().unwrap().push(handle);
+                        host.spawn(Box::new(TcpTransport::new(stream)), "xpl-net-conn".into());
                     }
                 })
                 .expect("spawn accept thread")
         };
-
         Ok(NetServer {
             addr,
-            stopped,
-            draining,
-            stats,
+            host,
             accept: Some(accept),
-            conns,
         })
     }
 
@@ -407,55 +360,43 @@ impl NetServer {
     }
 
     pub fn stats(&self) -> ServerStatsSnapshot {
-        self.stats.snapshot()
+        self.host.stats.snapshot()
     }
 
     /// Graceful drain: stop accepting, let in-flight requests finish
     /// (new reads are answered `Draining` and closed), join every
     /// connection thread, and return the final accounting.
     pub fn drain(mut self) -> ServerStatsSnapshot {
-        self.draining.store(true, Ordering::Release);
-        self.stopped.store(true, Ordering::Release);
+        self.host.draining.store(true, Ordering::Release);
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.conns.lock().unwrap());
-        for h in handles {
-            let _ = h.join();
-        }
-        self.stats.snapshot()
+        self.host.drain()
     }
 }
 
 impl Drop for NetServer {
     fn drop(&mut self) {
         // Undrained drop: stop the accept loop but don't block in drop.
-        self.stopped.store(true, Ordering::Release);
-        self.draining.store(true, Ordering::Release);
+        self.host.draining.store(true, Ordering::Release);
         let _ = TcpStream::connect(self.addr);
     }
 }
 
 // ------------------------------------------------------------- MemHost
 
-/// An in-memory "listener": every [`MemHost::connect`] spawns a server
-/// thread on one end of a fresh pipe and hands back the client end,
+/// An in-memory "listener": every [`MemHost::connect`] serves one end of
+/// a fresh pipe on the connection host and hands back the other end,
 /// optionally wrapping **both** ends in seeded [`FaultTransport`]s (the
 /// per-256 rates from [`FaultConfig`]). Deterministic per connection;
 /// the robustness harness and tests drive this instead of real sockets.
 pub struct MemHost {
-    svc: Arc<dyn WireService>,
-    cfg: WireConfig,
-    gate: Arc<AdmissionGate>,
-    draining: Arc<AtomicBool>,
-    stats: Arc<ServerStats>,
+    host: Arc<Host>,
     faults: FaultConfig,
     fault_stats: Arc<FaultStats>,
-    conns: Mutex<Vec<JoinHandle<()>>>,
     next_conn: AtomicU64,
-    exposed: Option<Arc<Registry>>,
 }
 
 impl MemHost {
@@ -474,18 +415,12 @@ impl MemHost {
         faults: FaultConfig,
         registry: Option<&Arc<Registry>>,
     ) -> MemHost {
-        let counted = registry.cloned().unwrap_or_else(Registry::new);
+        let host = Host::new(svc, cfg, registry);
         MemHost {
-            svc,
-            gate: Arc::new(AdmissionGate::new(cfg.queue_depth)),
-            cfg,
-            draining: Arc::new(AtomicBool::new(false)),
-            stats: Arc::new(ServerStats::new(&counted)),
+            fault_stats: Arc::new(FaultStats::new(&host.registry)),
+            host,
             faults,
-            fault_stats: Arc::new(FaultStats::new(&counted)),
-            conns: Mutex::new(Vec::new()),
             next_conn: AtomicU64::new(0),
-            exposed: registry.cloned(),
         }
     }
 
@@ -493,50 +428,21 @@ impl MemHost {
     pub fn connect(&self) -> Box<dyn Transport> {
         let id = self.next_conn.fetch_add(1, Ordering::Relaxed);
         let (client_end, server_end) = mem_pair();
-        let server_t: Box<dyn Transport> = if self.faults.is_none() {
-            Box::new(server_end)
-        } else {
-            Box::new(FaultTransport::new(
-                Box::new(server_end),
-                self.faults,
-                &format!("srv-{id}"),
-                self.fault_stats.clone(),
-            ))
+        let wrap = |end: MemTransport, side: &str| -> Box<dyn Transport> {
+            if self.faults.is_none() {
+                Box::new(end)
+            } else {
+                Box::new(FaultTransport::new(
+                    Box::new(end),
+                    self.faults,
+                    &format!("{side}-{id}"),
+                    self.fault_stats.clone(),
+                ))
+            }
         };
-        let client_t: Box<dyn Transport> = if self.faults.is_none() {
-            Box::new(client_end)
-        } else {
-            Box::new(FaultTransport::new(
-                Box::new(client_end),
-                self.faults,
-                &format!("cli-{id}"),
-                self.fault_stats.clone(),
-            ))
-        };
-        self.stats.connections.inc();
-        let (svc, gate, cfg, draining, stats, exposed) = (
-            self.svc.clone(),
-            self.gate.clone(),
-            self.cfg,
-            self.draining.clone(),
-            self.stats.clone(),
-            self.exposed.clone(),
-        );
-        let handle = std::thread::Builder::new()
-            .name(format!("xpl-net-mem-{id}"))
-            .spawn(move || {
-                serve_connection(
-                    server_t,
-                    &*svc,
-                    &gate,
-                    &cfg,
-                    &draining,
-                    &stats,
-                    exposed.as_deref(),
-                )
-            })
-            .expect("spawn mem connection thread");
-        self.conns.lock().unwrap().push(handle);
+        let server_t = wrap(server_end, "srv");
+        let client_t = wrap(client_end, "cli");
+        self.host.spawn(server_t, format!("xpl-net-mem-{id}"));
         client_t
     }
 
@@ -545,27 +451,22 @@ impl MemHost {
     /// afterwards to join; split so a test can observe the fail-fast
     /// client behavior before connection threads are reaped.
     pub fn begin_drain(&self) {
-        self.draining.store(true, Ordering::Release);
+        self.host.draining.store(true, Ordering::Release);
     }
 
     /// Graceful drain, same semantics as [`NetServer::drain`].
     pub fn drain(&self) -> ServerStatsSnapshot {
-        self.draining.store(true, Ordering::Release);
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.conns.lock().unwrap());
-        for h in handles {
-            let _ = h.join();
-        }
-        self.stats.snapshot()
+        self.host.drain()
     }
 
     pub fn stats(&self) -> ServerStatsSnapshot {
-        self.stats.snapshot()
+        self.host.stats.snapshot()
     }
 
     /// Currently admitted in-flight requests for `tenant` (test
     /// introspection into the admission gate).
     pub fn gate_in_flight(&self, tenant: u32) -> usize {
-        self.gate.in_flight(tenant)
+        self.host.gate.in_flight(tenant)
     }
 
     /// Injected-fault counters (all zero when faults are disabled).

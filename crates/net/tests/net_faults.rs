@@ -10,8 +10,8 @@ use xpl_net::frame::{
     decode_response, encode_request, read_frame, write_frame, FrameKind, STATUS_OK, STATUS_OVERLOAD,
 };
 use xpl_net::{
-    BackoffPolicy, FaultConfig, MemHost, NetClient, NetError, NetServer, TcpTransport, Transport,
-    WireConfig, WireService, DEFAULT_MAX_FRAME,
+    BackoffPolicy, FaultConfig, MemHost, NetClient, NetError, NetServer, ServerStatsSnapshot,
+    TcpTransport, Transport, WireConfig, WireService, DEFAULT_MAX_FRAME,
 };
 
 /// An idempotent echo service: deterministic body per request, so every
@@ -269,8 +269,9 @@ fn client_retries_overload_with_backoff_until_capacity_frees() {
 
 #[test]
 fn retry_budget_is_bounded_and_delays_are_monotone() {
-    // A connector that never succeeds: the client must give up after
-    // exactly max_attempts with a typed Exhausted — not hang, not spin.
+    // A connector that never succeeds, alternating a reset with an OS
+    // dial error: the client must retry both, and give up after exactly
+    // max_attempts with a typed Exhausted — not hang, not spin.
     let dials = Arc::new(AtomicU64::new(0));
     let d = dials.clone();
     let backoff = BackoffPolicy {
@@ -284,14 +285,23 @@ fn retry_budget_is_bounded_and_delays_are_monotone() {
         backoff,
         42,
         Box::new(move || {
-            d.fetch_add(1, Ordering::Relaxed);
-            Err(NetError::Reset)
+            if d.fetch_add(1, Ordering::Relaxed).is_multiple_of(2) {
+                Err(NetError::Reset)
+            } else {
+                Err(NetError::Io("connection refused".into()))
+            }
         }),
     );
     let err = client.call(b"unreachable").unwrap_err();
     assert_eq!(err, NetError::Exhausted { attempts: 5 });
     assert_eq!(dials.load(Ordering::Relaxed), 5);
     assert_eq!(client.stats.retries, 4);
+
+    // A Stats request runs through the same retry loop and budget.
+    let err = client.stats_snapshot().unwrap_err();
+    assert_eq!(err, NetError::Exhausted { attempts: 5 });
+    assert_eq!(dials.load(Ordering::Relaxed), 10);
+    assert_eq!(client.stats.retries, 8);
 
     // The schedule itself: deterministic, within jitter bounds, and
     // monotone non-decreasing below the cap.
@@ -452,6 +462,34 @@ fn fault_storm_converges_with_nothing_lost() {
 
 // ---------------------------------------------------------- stats frames
 
+/// A healthy-server snapshot over the wire: parseable, fingerprint-stable
+/// JSON carrying the server's counters.
+fn assert_stats_snapshot(client: &mut NetClient) {
+    let json = String::from_utf8(client.stats_snapshot().unwrap()).unwrap();
+    let fp = xpl_obs::parse_det_fingerprint(&json).expect("snapshot carries a det fingerprint");
+    assert_eq!(fp.len(), 64, "sha-256 hex fingerprint: {fp}");
+    assert!(json.contains("\"net.served\""), "{json}");
+}
+
+/// One source of truth: the drained accounting is the registry's `net.*`
+/// counters, field for field.
+fn assert_drained_counts_match(srv: &ServerStatsSnapshot, registry: &xpl_obs::Registry) {
+    let snap = registry.snapshot();
+    let counters = [
+        (srv.connections, "net.connections"),
+        (srv.served, "net.served"),
+        (srv.overloads, "net.overloads"),
+        (srv.drain_rejects, "net.drain_rejects"),
+        (srv.service_errors, "net.service_errors"),
+        (srv.evictions, "net.evictions"),
+        (srv.peer_closed, "net.peer_closed"),
+        (srv.frame_errors, "net.frame_errors"),
+    ];
+    for (field, name) in counters {
+        assert_eq!(field, snap.counter(name), "{name}");
+    }
+}
+
 #[test]
 fn stats_frame_roundtrips_and_survives_drain() {
     let registry = xpl_obs::Registry::new();
@@ -471,15 +509,7 @@ fn stats_frame_roundtrips_and_survives_drain() {
         Box::new(move || Ok(conn_host.connect())),
     );
     assert_eq!(client.call(b"warm").unwrap(), expected_echo(3, b"warm"));
-
-    // A healthy-server snapshot: parseable, fingerprint-stable JSON.
-    let snap = client.stats_snapshot().unwrap();
-    let json = String::from_utf8(snap).unwrap();
-    let fp = xpl_obs::parse_det_fingerprint(&json)
-        .expect("snapshot carries a det fingerprint")
-        .to_string();
-    assert_eq!(fp.len(), 64, "sha-256 hex fingerprint: {fp}");
-    assert!(json.contains("\"net.served\""), "{json}");
+    assert_stats_snapshot(&mut client);
 
     host.begin_drain();
 
@@ -496,24 +526,36 @@ fn stats_frame_roundtrips_and_survives_drain() {
 
     client.close();
     let srv = host.drain();
-
-    // One source of truth: the drained accounting is the registry's
-    // `net.*` counters, field for field.
-    let snap = registry.snapshot();
-    let counters = [
-        (srv.connections, "net.connections"),
-        (srv.served, "net.served"),
-        (srv.overloads, "net.overloads"),
-        (srv.drain_rejects, "net.drain_rejects"),
-        (srv.service_errors, "net.service_errors"),
-        (srv.evictions, "net.evictions"),
-        (srv.peer_closed, "net.peer_closed"),
-        (srv.frame_errors, "net.frame_errors"),
-    ];
-    for (field, name) in counters {
-        assert_eq!(field, snap.counter(name), "{name}");
-    }
+    assert_drained_counts_match(&srv, &registry);
     assert_eq!((srv.served, srv.drain_rejects), (1, 1), "{srv:?}");
+}
+
+#[test]
+fn stats_frame_roundtrips_over_tcp_with_bind_obs() {
+    let registry = xpl_obs::Registry::new();
+    let server = NetServer::bind_obs(
+        "127.0.0.1:0",
+        echo_service(),
+        WireConfig::default(),
+        Some(&registry),
+    )
+    .unwrap();
+    let mut client = NetClient::tcp(
+        server.local_addr(),
+        3,
+        WireConfig::default(),
+        BackoffPolicy::default(),
+        43,
+    );
+    assert_eq!(client.call(b"warm").unwrap(), expected_echo(3, b"warm"));
+    assert_stats_snapshot(&mut client);
+
+    client.close();
+    let srv = server.drain();
+    assert_drained_counts_match(&srv, &registry);
+    // The drain's wake-up dial is never counted as a connection.
+    assert_eq!((srv.connections, srv.served), (1, 1), "{srv:?}");
+    assert_eq!(registry.snapshot().counter("net.stats.served"), 1);
 }
 
 #[test]

@@ -1,11 +1,12 @@
-//! Frame-codec property tests: round-trips at size boundaries, an
-//! every-byte truncation sweep, and an every-byte corruption sweep over
-//! header, payload, and trailer — typed errors always, panics never,
-//! and a forged length field is refused before any allocation.
+//! Frame-codec property tests, all through the production reader
+//! `read_frame`: round-trips at size boundaries, an every-byte
+//! truncation sweep, and an every-byte corruption sweep over header,
+//! payload, and trailer — typed errors always, panics never, and a
+//! forged length field is refused before any allocation.
 
 use proptest::prelude::*;
-use xpl_net::frame::{decode, encode, read_frame, write_frame, FrameKind};
-use xpl_net::{mem_pair, NetError, Transport, DEFAULT_MAX_FRAME, HEADER_LEN, TRAILER_LEN};
+use xpl_net::frame::{encode, read_frame, write_frame, FrameKind};
+use xpl_net::{mem_pair, Frame, NetError, Transport, DEFAULT_MAX_FRAME, HEADER_LEN, TRAILER_LEN};
 use xpl_util::{Crc32, SplitMix64};
 
 fn junk(seed: u64, n: usize) -> Vec<u8> {
@@ -18,7 +19,32 @@ fn junk(seed: u64, n: usize) -> Vec<u8> {
     out
 }
 
+/// Send `bytes` over a fresh in-memory pipe, hang up, and read one frame
+/// back with `read_frame`. A frame that decodes must have consumed
+/// exactly its encoding: the next read is a clean close.
+fn read_one(bytes: &[u8], max_frame: u32) -> Result<Frame, NetError> {
+    let (mut a, mut b) = mem_pair();
+    a.send(bytes).unwrap();
+    a.shutdown();
+    let frame = read_frame(&mut b, max_frame)?.expect("a frame, not a clean close");
+    assert_eq!(
+        read_frame(&mut b, max_frame),
+        Ok(None),
+        "bytes trail the frame"
+    );
+    Ok(frame)
+}
+
 // ------------------------------------------------------ boundary shapes
+
+#[test]
+fn roundtrip() {
+    for payload in [&b""[..], b"x", b"hello wire", &[0u8; 4096]] {
+        let frame = read_one(&encode(FrameKind::Request, payload), DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(frame.kind, FrameKind::Request);
+        assert_eq!(frame.payload, payload);
+    }
+}
 
 #[test]
 fn boundary_sizes_roundtrip() {
@@ -28,8 +54,7 @@ fn boundary_sizes_roundtrip() {
         for kind in [FrameKind::Hello, FrameKind::Request, FrameKind::Response] {
             let bytes = encode(kind, &payload);
             assert_eq!(bytes.len(), HEADER_LEN + n + TRAILER_LEN);
-            let (frame, used) = decode(&bytes, max).expect("boundary roundtrip");
-            assert_eq!(used, bytes.len());
+            let frame = read_one(&bytes, max).expect("boundary roundtrip");
             assert_eq!(frame.kind, kind);
             assert_eq!(frame.payload, payload);
         }
@@ -40,7 +65,7 @@ fn boundary_sizes_roundtrip() {
 fn one_past_max_is_rejected_before_allocation() {
     let bytes = encode(FrameKind::Request, &junk(7, 4097));
     assert_eq!(
-        decode(&bytes, 4096),
+        read_one(&bytes, 4096),
         Err(NetError::FrameTooLarge {
             len: 4097,
             max: 4096
@@ -52,25 +77,11 @@ fn one_past_max_is_rejected_before_allocation() {
 fn exact_default_max_roundtrips() {
     let payload = junk(9, DEFAULT_MAX_FRAME as usize);
     let bytes = encode(FrameKind::Response, &payload);
-    let (frame, _) = decode(&bytes, DEFAULT_MAX_FRAME).expect("1 MiB payload");
+    let frame = read_one(&bytes, DEFAULT_MAX_FRAME).expect("1 MiB payload");
     assert_eq!(frame.payload, payload);
 }
 
 // ----------------------------------------------- exhaustive byte sweeps
-
-#[test]
-fn truncation_at_every_byte_is_typed() {
-    let bytes = encode(FrameKind::Request, &junk(3, 64));
-    for cut in 0..bytes.len() {
-        match decode(&bytes[..cut], DEFAULT_MAX_FRAME) {
-            Err(NetError::Truncated { needed, have }) => {
-                assert_eq!(have, cut);
-                assert!(needed > cut, "cut {cut}: needed {needed}");
-            }
-            other => panic!("cut at {cut}: {other:?}"),
-        }
-    }
-}
 
 #[test]
 fn truncation_at_every_byte_over_the_wire_is_typed() {
@@ -99,7 +110,7 @@ fn corruption_at_every_header_byte_is_typed() {
         for bit in [0x01u8, 0x80] {
             let mut bad = bytes.clone();
             bad[i] ^= bit;
-            match decode(&bad, DEFAULT_MAX_FRAME) {
+            match read_one(&bad, DEFAULT_MAX_FRAME) {
                 Err(
                     NetError::BadMagic(_)
                     | NetError::BadHeaderCrc { .. }
@@ -119,7 +130,7 @@ fn corruption_at_every_payload_and_trailer_byte_is_typed() {
         for bit in [0x01u8, 0x80] {
             let mut bad = bytes.clone();
             bad[i] ^= bit;
-            match decode(&bad, DEFAULT_MAX_FRAME) {
+            match read_one(&bad, DEFAULT_MAX_FRAME) {
                 Err(NetError::BadPayloadCrc { .. }) => {}
                 other => panic!("payload flip at byte {i} bit {bit:#x}: {other:?}"),
             }
@@ -147,6 +158,29 @@ fn forged_gigabyte_length_over_the_wire_is_typed() {
     );
 }
 
+#[test]
+fn forged_length_without_crc_is_caught_by_header_crc() {
+    let mut bytes = encode(FrameKind::Request, b"small");
+    bytes[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(matches!(
+        read_one(&bytes, DEFAULT_MAX_FRAME),
+        Err(NetError::BadHeaderCrc { .. })
+    ));
+}
+
+#[test]
+fn bad_kind_and_magic_are_typed() {
+    let mut bytes = encode(FrameKind::Hello, b"t");
+    bytes[0] ^= 0xFF;
+    assert!(matches!(read_one(&bytes, 1024), Err(NetError::BadMagic(_))));
+
+    let mut bytes = encode(FrameKind::Hello, b"t");
+    bytes[4] = 0x7F;
+    let hcrc = Crc32::checksum(&bytes[..9]);
+    bytes[9..13].copy_from_slice(&hcrc.to_le_bytes());
+    assert_eq!(read_one(&bytes, 1024), Err(NetError::BadKind(0x7F)));
+}
+
 // ---------------------------------------------------- random properties
 
 proptest! {
@@ -156,8 +190,7 @@ proptest! {
     fn random_payloads_roundtrip(seed in any::<u64>(), len in 0usize..40_000) {
         let payload = junk(seed, len);
         let bytes = encode(FrameKind::Request, &payload);
-        let (frame, used) = decode(&bytes, DEFAULT_MAX_FRAME).expect("roundtrip");
-        prop_assert_eq!(used, bytes.len());
+        let frame = read_one(&bytes, DEFAULT_MAX_FRAME).expect("roundtrip");
         prop_assert_eq!(frame.payload, payload);
     }
 
@@ -175,7 +208,7 @@ proptest! {
         let mut bytes = encode(FrameKind::Request, &payload);
         let pos = (pos % bytes.len() as u64) as usize;
         bytes[pos] ^= 1u8 << bit;
-        prop_assert!(decode(&bytes, DEFAULT_MAX_FRAME).is_err(), "flip at {} survived", pos);
+        prop_assert!(read_one(&bytes, DEFAULT_MAX_FRAME).is_err(), "flip at {} survived", pos);
     }
 
     #[test]

@@ -513,23 +513,6 @@ impl RegObs {
     }
 }
 
-/// [`run_registry`] with an optional metrics sink. The sink is folded
-/// in *after* the run from the outcome alone, so attaching one cannot
-/// perturb the schedule — the outcome (and its log fingerprint) is
-/// byte-identical with or without `obs`.
-pub fn run_registry_obs<M: ServiceModel>(
-    requests: &[ServeRequest],
-    model: &M,
-    cfg: &RegistryConfig,
-    obs: Option<&RegObs>,
-) -> RegistryOutcome {
-    let out = run_registry(requests, model, cfg);
-    if let Some(o) = obs {
-        o.record(&out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

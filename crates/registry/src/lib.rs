@@ -34,8 +34,7 @@ mod engine;
 mod gate;
 
 pub use engine::{
-    run_registry, run_registry_obs, Outcome, RegObs, RegistryConfig, RegistryOutcome,
-    RequestRecord, TenantStats,
+    run_registry, Outcome, RegObs, RegistryConfig, RegistryOutcome, RequestRecord, TenantStats,
 };
 pub use gate::{AdmissionGate, AdmissionPermit, Overloaded};
 

@@ -252,7 +252,10 @@ fn five_stores_serve_distinct_images_concurrently() {
         .iter()
         .map(|name| RetrieveRequest::for_image(&world.build_image(name), &world.catalog))
         .collect();
-    for store in expelliarmus::bench::churn::five_stores(|| world.env()) {
+    for store in expelliarmus::bench::churn::five_stores(
+        || world.env(),
+        expelliarmus::store::TierPolicy::raw(),
+    ) {
         for name in &names {
             store
                 .publish(&world.catalog, &world.build_image(name))
